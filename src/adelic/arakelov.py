@@ -8,9 +8,17 @@ theta value at t=1 times a covolume power, the lattice zeta value times
 a covolume power, or the bare covolume power (which simply counts points
 when s=0).
 
-Terms are summed in a deterministic order (base height, then canonical
-coordinates) with exactly rounded accumulation, so equal inputs give
-equal bits and regrouping terms by height cannot change the value.
+The restriction at a base point depends on the point only through its
+exact height squared, so the roughly (12/pi^2)*cutoff^2 base points fall
+into far fewer height classes.  The restriction, the integrand, the
+covolume power, the term and its error bound are formed once per class
+and then repeated by the class multiplicity.  Terms are summed in a
+deterministic order (base height, then canonical coordinates) with
+exactly rounded accumulation.  The points of one class are contiguous in
+that order and all carry the identical floating term, so the expanded
+sequence is the one a per-point evaluation would sum, term for term:
+equal inputs give equal bits, and regrouping terms by height cannot
+change the value.
 """
 
 from __future__ import annotations
@@ -23,8 +31,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Callable, Optional
 
-from .errors import ValidationError
-from .heights import ArchKind, MetrizedLineBundle, ProjPoint, height_point_sq, restrict_bundle_sum
+from .errors import CapacityError, ValidationError
+from .heights import ArchKind, ProjPoint, restrict_bundle_sum
 from .lattice import (
     ENUM_CAP,
     HermitianLattice,
@@ -130,6 +138,45 @@ class ProbeRow:
     stable: bool
 
 
+@dataclass(frozen=True)
+class _HeightClass:
+    """The base points sharing one exact height squared, with the term
+    they all contribute."""
+
+    height_sq: int
+    points: tuple  # canonical pairs (a, b), in summation order
+    lattice: HermitianLattice
+    phi_value: "complex | float"
+    phi_error: float
+    term: "complex | float"
+    term_error: float
+
+
+def _canonical_pairs(cutoff, arch: ArchKind) -> list[tuple[int, int, int]]:
+    """(h^2, a, b) for every canonical pair of height at most ``cutoff``,
+    sorted by h^2 and then by (a, b).
+
+    The (cutoff + 1)*(2*cutoff + 1) candidate pairs are checked against
+    ENUM_CAP before any of them is visited.
+    """
+    B = int(cutoff)
+    if B < 1:
+        raise ValidationError("cutoff must be a positive integer")
+    candidates = (B + 1) * (2 * B + 1)
+    if candidates > ENUM_CAP:
+        raise CapacityError(f"base point enumeration needs {candidates} candidates, over the cap {ENUM_CAP}")
+    euclid = arch is ArchKind.L2
+    found = [(1, 0, 1)]  # (0 : 1), the one canonical pair with a = 0
+    for a in range(1, B + 1):
+        aa = a * a
+        top = isqrt(B * B - aa) if euclid else B
+        found.extend(
+            (aa + b * b if euclid else max(aa, b * b), a, b) for b in range(-top, top + 1) if gcd(a, b) == 1
+        )
+    found.sort()
+    return found
+
+
 def base_points_by_height(cutoff, arch=ArchKind.MAX, point_filter=None) -> list[ProjPoint]:
     """All of P^1(Q) with height at most ``cutoff``, sorted by height and
     then by canonical coordinates.
@@ -138,29 +185,12 @@ def base_points_by_height(cutoff, arch=ArchKind.MAX, point_filter=None) -> list[
     nonzero entry is positive: (0, 1) together with (a, b), a >= 1,
     gcd(a, b) = 1.  For the max metric the height of such a pair is
     max(a, |b|); for the euclidean metric it is sqrt(a^2 + b^2).
+    Raises CapacityError when the candidate box exceeds ENUM_CAP.
     """
-    arch = ArchKind.parse(arch)
-    B = int(cutoff)
-    if B < 1:
-        raise ValidationError("cutoff must be a positive integer")
-    cap_sq = B * B
-    found = []
-    for a in range(0, B + 1):
-        for b in range(-B, B + 1):
-            if a == 0:
-                if b != 1:
-                    continue
-            elif gcd(a, abs(b)) != 1:
-                continue
-            h2 = max(a * a, b * b) if arch is ArchKind.MAX else a * a + b * b
-            if h2 > cap_sq:
-                continue
-            pt = ProjPoint([a, b])
-            if point_filter is not None and not point_filter(pt):
-                continue
-            found.append((h2, pt.coords, pt))
-    found.sort(key=lambda row: (row[0], row[1]))
-    return [row[2] for row in found]
+    pts = [ProjPoint((a, b)) for _, a, b in _canonical_pairs(cutoff, ArchKind.parse(arch))]
+    if point_filter is not None:
+        pts = [p for p in pts if point_filter(p)]
+    return pts
 
 
 def _det_power(det: Fraction, expo: complex, ctx: Ctx):
@@ -187,8 +217,8 @@ def _sum_terms(terms, ctx: Ctx):
 
 
 def _phi_factory(spec: ArakelovSeriesSpec, per_eps: float, ctx: Ctx, cap: int):
-    # one evaluation per distinct restriction; all points of equal height
-    # share a restriction, so they share the identical floating value
+    # one evaluation per distinct restriction; distinct height classes
+    # share a lattice only when every bundle degree is 0
     cache: dict[HermitianLattice, tuple] = {}
     d = spec.rank
 
@@ -209,6 +239,51 @@ def _phi_factory(spec: ArakelovSeriesSpec, per_eps: float, ctx: Ctx, cap: int):
     return phi
 
 
+def _height_classes(spec: ArakelovSeriesSpec, eps: float, ctx: Ctx, cap: int) -> list[_HeightClass]:
+    """The series' base points grouped by exact height squared, in
+    summation order, each class carrying its one restriction and term.
+
+    Each theta or zeta factor is evaluated to eps divided by the number
+    of points, so the total reported error bound stays below eps plus the
+    roundoff allowance.  A ProjPoint is built only for a class
+    representative, or to ask the spec's point filter.
+    """
+    if not eps > 0.0:
+        raise ValidationError("eps must be positive")
+    keep = spec.point_filter
+    members: list[tuple[int, list]] = []
+    for h2, a, b in _canonical_pairs(spec.cutoff, spec.arch):
+        if keep is not None and not keep(ProjPoint((a, b))):
+            continue
+        if members and members[-1][0] == h2:
+            members[-1][1].append((a, b))
+        else:
+            members.append((h2, [(a, b)]))
+    per_eps = eps / max(1, sum(len(pts) for _, pts in members))
+    phi = _phi_factory(spec, per_eps, ctx, cap)
+    half_s = spec.s / 2
+    out = []
+    for h2, pts in members:
+        L = restrict_bundle_sum(spec.bundle_degrees, ProjPoint(pts[0]), spec.arch)
+        val, err = phi(L)
+        w = _det_power(L.det, half_s, ctx)
+        term = val * w
+        term_err = err * _abs(w, ctx) + _roundoff_allowance(_abs(term, ctx), ctx.bits)
+        out.append(_HeightClass(h2, tuple(pts), L, val, err, term, term_err))
+    return out
+
+
+def _series_value(spec: ArakelovSeriesSpec, classes: list[_HeightClass], ctx: Ctx) -> SeriesValue:
+    # expand each class by its multiplicity: the per-point term sequence
+    value = _sum_terms([c.term for c in classes for _ in c.points], ctx)
+    err = math.fsum(c.term_error for c in classes for _ in c.points)
+    # zeta factors lean on incomplete gamma truncation heuristics; theta
+    # and bare covolume factors carry proved tail bounds
+    rigorous = spec.phi_kind is not PhiKind.ZETA
+    terms_used = sum(len(c.points) for c in classes)
+    return SeriesValue(value=value, error_bound=err, terms_used=terms_used, rigorous=rigorous)
+
+
 def arakelov_term_rows(
     spec: ArakelovSeriesSpec, eps: float = 1e-9, ctx: Ctx = DEFAULT_CTX, cap: int = ENUM_CAP
 ) -> list[TermRow]:
@@ -216,32 +291,25 @@ def arakelov_term_rows(
 
     Each theta or zeta factor is evaluated to eps divided by the number
     of terms, so the total reported error bound stays below eps plus the
-    roundoff allowance.
+    roundoff allowance.  The restriction and term of a point are those
+    of its height class, formed once and shared by every point of the
+    class; only the rows themselves are built per point.
     """
-    if not eps > 0.0:
-        raise ValidationError("eps must be positive")
-    pts = base_points_by_height(spec.cutoff, spec.arch, spec.point_filter)
-    per_eps = eps / max(1, len(pts))
-    phi = _phi_factory(spec, per_eps, ctx, cap)
-    half_s = spec.s / 2
-    meter = MetrizedLineBundle(1, 1, spec.arch)
     rows = []
-    for x in pts:
-        L = restrict_bundle_sum(spec.bundle_degrees, x, spec.arch)
-        val, err = phi(L)
-        w = _det_power(L.det, half_s, ctx)
-        term = val * w
-        term_err = err * _abs(w, ctx) + _roundoff_allowance(_abs(term, ctx), ctx.bits)
-        rows.append(
+    for c in _height_classes(spec, eps, ctx, cap):
+        h2 = Fraction(c.height_sq)
+        covolume = vol(c.lattice)
+        rows.extend(
             TermRow(
-                height_sq=height_point_sq(meter, x),
-                point=x,
-                covolume=vol(L),
-                phi_value=val,
-                phi_error=err,
-                term=term,
-                term_error=term_err,
+                height_sq=h2,
+                point=ProjPoint(pair),
+                covolume=covolume,
+                phi_value=c.phi_value,
+                phi_error=c.phi_error,
+                term=c.term,
+                term_error=c.term_error,
             )
+            for pair in c.points
         )
     return rows
 
@@ -250,14 +318,15 @@ def arakelov_L_partial(
     spec: ArakelovSeriesSpec, eps: float = 1e-9, ctx: Ctx = DEFAULT_CTX, cap: int = ENUM_CAP
 ) -> SeriesValue:
     """Truncated Arakelov L-series over the base points of height at most
-    the cutoff.  Deterministic: equal inputs reproduce equal bits."""
-    rows = arakelov_term_rows(spec, eps, ctx, cap)
-    value = _sum_terms([r.term for r in rows], ctx)
-    err = math.fsum(r.term_error for r in rows)
-    # zeta factors lean on incomplete gamma truncation heuristics; theta
-    # and bare covolume factors carry proved tail bounds
-    rigorous = spec.phi_kind is not PhiKind.ZETA
-    return SeriesValue(value=value, error_bound=err, terms_used=len(rows), rigorous=rigorous)
+    the cutoff.  Deterministic: equal inputs reproduce equal bits.
+
+    Terms are formed once per height class and summed with each class
+    term repeated by its multiplicity, in class order.  That is the
+    per-point term sequence itself, so the value (exactly rounded at 64
+    bits, sequential under mpmath), the error bound (exactly rounded) and
+    the term count equal those of a per-point evaluation bit for bit.
+    """
+    return _series_value(spec, _height_classes(spec, eps, ctx, cap), ctx)
 
 
 def theta_duality_defect(spec: ArakelovSeriesSpec, eps: float = 1e-12, ctx: Ctx = DEFAULT_CTX) -> float:
@@ -288,10 +357,11 @@ def grouped_series_coefficients(
     """Group the theta series by base height N up to n_max.
 
     All points of height N share one restriction, hence one floating
-    term; a group is that term with its enumerated multiplicity.  The sum
-    reassembled from the groups must reproduce arakelov_L_partial bit for
-    bit (same floating terms, reassociated), which is verified here on
-    every call.
+    term; a group is one height class of the series, that term with its
+    enumerated multiplicity, built once.  The sum reassembled from the
+    groups must reproduce the value arakelov_L_partial returns bit for
+    bit (same floating terms, repeated by multiplicity in the same
+    order), which is verified here on every call.
 
     The reference column evaluates 2*(1 + 2*Phi(N)) with Phi the
     summatory totient, giving 6, 10, 18, 26, ...; enumeration yields 4,
@@ -301,7 +371,7 @@ def grouped_series_coefficients(
     if arch is not ArchKind.MAX:
         raise ValidationError("integer height grouping requires the max metric")
     spec = ArakelovSeriesSpec(tuple(bundle_degrees), arch, s, int(n_max), PhiKind.THETA)
-    rows = arakelov_term_rows(spec, eps, ctx)
+    classes = _height_classes(spec, eps, ctx, ENUM_CAP)
 
     summatory = {}
     running = 0
@@ -309,33 +379,21 @@ def grouped_series_coefficients(
         running += euler_phi(N)
         summatory[N] = running
 
-    order: list[int] = []
-    buckets: dict[int, list[TermRow]] = {}
-    for row in rows:
-        N = isqrt(row.height_sq.numerator)
-        if N not in buckets:
-            order.append(N)
-            buckets[N] = []
-        buckets[N].append(row)
-
     out = []
-    regrouped_terms = []
-    for N in order:
-        bucket = buckets[N]
-        lead = bucket[0]
-        regrouped_terms.extend([lead.term] * len(bucket))
+    for c in classes:
+        N = isqrt(c.height_sq)
         out.append(
             GroupedRow(
                 height=N,
-                count=len(bucket),
-                theta_value=lead.phi_value,
-                term=lead.term,
+                count=len(c.points),
+                theta_value=c.phi_value,
+                term=c.term,
                 reference_coefficient=2 * (1 + 2 * summatory[N]),
             )
         )
 
-    direct = arakelov_L_partial(spec, eps, ctx)
-    if _sum_terms(regrouped_terms, ctx) != direct.value:
+    regrouped_terms = [r.term for r in out for _ in range(r.count)]
+    if _sum_terms(regrouped_terms, ctx) != _series_value(spec, classes, ctx).value:
         raise ValidationError("grouped sum failed to reproduce the direct sum exactly")
     return out
 

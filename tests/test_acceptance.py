@@ -270,6 +270,7 @@ def test_05_twisted_height_laws():
 
 
 def test_06_arakelov_duality_and_grouping():
+    t0 = time.perf_counter()
     # two-sided symmetry of the truncated series under dualizing, at B=50
     defects = []
     for degrees in ((1,), (1, 2)):
@@ -297,10 +298,12 @@ def test_06_arakelov_duality_and_grouping():
     probe = convergence_abscissa_probe(ArakelovSeriesSpec((1,), cutoff=16), [4.0, 3.5, 2.5, 2.0], eps=1e-9)
     by_s = {row.s.real: row.stable for row in probe}
     assert by_s[4.0] and by_s[3.5] and not by_s[2.5] and not by_s[2.0]
+    elapsed = time.perf_counter() - t0
 
     print(f"check 06: PASS; duality defects {defects[0]:.1e}/{defects[1]:.1e} at cutoff 50 (< 1e-9), "
           f"grouped counts match 4*phi(N) for N <= 500 (quoted coefficient reported only: N=2 "
-          f"count 4 vs quoted 10), regrouped sum bit-identical, convergence flips across Re(s)=3")
+          f"count 4 vs quoted 10), regrouped sum bit-identical, convergence flips across Re(s)=3, "
+          f"{elapsed:.1f} s")
 
 
 def test_07_leading_constant_two_pipelines():

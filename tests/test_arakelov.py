@@ -6,6 +6,7 @@ import pytest
 from adelic.arakelov import (
     ArakelovSeriesSpec,
     PhiKind,
+    _det_power,
     arakelov_L_partial,
     arakelov_term_rows,
     base_points_by_height,
@@ -13,9 +14,10 @@ from adelic.arakelov import (
     grouped_series_coefficients,
     theta_duality_defect,
 )
-from adelic.errors import PoleError, ValidationError
-from adelic.heights import ArchKind, ProjPoint, restrict_bundle_sum
-from adelic.lattice import HermitianLattice, dual, lattice_zeta, theta
+from adelic.errors import CapacityError, PoleError, ValidationError
+from adelic.heights import ArchKind, MetrizedLineBundle, ProjPoint, height_point_sq, restrict_bundle_sum
+from adelic.lattice import ENUM_CAP, HermitianLattice, _roundoff_allowance, dual, lattice_zeta, theta, vol
+from adelic.numeric import Ctx, DEFAULT_CTX, fsum_c
 from adelic.places import euler_phi
 
 
@@ -228,3 +230,87 @@ def test_probe_requires_degree_one_theta():
         convergence_abscissa_probe(
             ArakelovSeriesSpec((1,), cutoff=4, phi_kind=PhiKind.NORM), [2.0]
         )
+
+
+def test_base_point_cap_checked_before_enumeration():
+    B = 1
+    while (B + 2) * (2 * B + 3) <= ENUM_CAP:
+        B += 1
+    # B is the largest cutoff whose (B+1)(2B+1) candidate box fits the cap
+    with pytest.raises(CapacityError):
+        base_points_by_height(B + 1)
+    with pytest.raises(CapacityError):
+        arakelov_L_partial(ArakelovSeriesSpec((1,), s=2, cutoff=B + 1, phi_kind=PhiKind.NORM))
+    with pytest.raises(CapacityError):
+        grouped_series_coefficients(B + 1)
+
+
+def _oracle_rows(spec, eps, ctx):
+    """Per point evaluation: every base point gets its own restriction,
+    integrand, covolume power and term, nothing shared between points."""
+    meter = MetrizedLineBundle(1, 1, spec.arch)
+    B = spec.cutoff
+    pts = {ProjPoint((a, b)) for a in range(B + 1) for b in range(-B, B + 1) if (a, b) != (0, 0)}
+    pts = [x for x in pts if height_point_sq(meter, x) <= B * B]
+    if spec.point_filter is not None:
+        pts = [x for x in pts if spec.point_filter(x)]
+    pts.sort(key=lambda x: (height_point_sq(meter, x), x.coords))
+    per_eps = eps / max(1, len(pts))
+    rows = []
+    for x in pts:
+        L = restrict_bundle_sum(spec.bundle_degrees, x, spec.arch)
+        if spec.phi_kind is PhiKind.THETA:
+            sv = theta(L, 1, per_eps, ctx)
+            val, err = sv.value, sv.error_bound
+        elif spec.phi_kind is PhiKind.ZETA:
+            sv = lattice_zeta(L, spec.rank * spec.s, per_eps, ctx)
+            val, err = sv.value, sv.error_bound
+        else:
+            val, err = (1.0 if ctx.is_float else ctx.real(1)), 0.0
+        w = _det_power(L.det, spec.s / 2, ctx)
+        term = val * w
+        mag_w = abs(w) if ctx.is_float else float(abs(w))
+        mag_t = abs(term) if ctx.is_float else float(abs(term))
+        term_err = err * mag_w + _roundoff_allowance(mag_t, ctx.bits)
+        rows.append((height_point_sq(meter, x), x, vol(L), val, err, term, term_err))
+    return rows
+
+
+def _oracle_sum(rows, ctx):
+    terms = [r[5] for r in rows]
+    if ctx.is_float:
+        z = fsum_c(terms)
+        value = z.real if z.imag == 0.0 else z
+    else:
+        value = ctx.fsum_complex(terms)
+    return value, math.fsum(r[6] for r in rows), len(rows)
+
+
+def _oracle_specs():
+    for arch in (ArchKind.MAX, ArchKind.L2):
+        for degrees in ((1,), (1, 2), (-1,), (2, -1, 3)):
+            for s in (0, 2.5, 3 + 1j):
+                yield ArakelovSeriesSpec(degrees, arch, s, 5, PhiKind.THETA), DEFAULT_CTX
+                yield ArakelovSeriesSpec(degrees, arch, s, 7, PhiKind.NORM), DEFAULT_CTX
+        yield ArakelovSeriesSpec((1,), arch, 2.5, 3, PhiKind.ZETA), DEFAULT_CTX
+        yield ArakelovSeriesSpec((1, 2), arch, 3 + 1j, 3, PhiKind.ZETA), DEFAULT_CTX
+        yield ArakelovSeriesSpec((1, 2), arch, 2.5, 4, PhiKind.THETA), Ctx(128)
+        yield ArakelovSeriesSpec((-1,), arch, 3 + 1j, 4, PhiKind.NORM), Ctx(128)
+    odd_first = lambda p: p.coords[0] % 2 == 1  # noqa: E731
+    yield ArakelovSeriesSpec((1,), ArchKind.MAX, 2.5, 8, PhiKind.THETA, odd_first), DEFAULT_CTX
+    yield ArakelovSeriesSpec((1, 2), ArchKind.L2, 3 + 1j, 8, PhiKind.NORM, odd_first), DEFAULT_CTX
+    yield ArakelovSeriesSpec((1,), ArchKind.L2, 0, 6, PhiKind.THETA, odd_first), Ctx(128)
+
+
+def test_partial_sum_matches_per_point_oracle_bitwise():
+    eps = 1e-9
+    for spec, ctx in _oracle_specs():
+        rows = _oracle_rows(spec, eps, ctx)
+        want = _oracle_sum(rows, ctx)
+        sv = arakelov_L_partial(spec, eps, ctx)
+        assert (sv.value, sv.error_bound, sv.terms_used) == want, (spec, ctx.bits)
+        got = [
+            (r.height_sq, r.point, r.covolume, r.phi_value, r.phi_error, r.term, r.term_error)
+            for r in arakelov_term_rows(spec, eps, ctx)
+        ]
+        assert got == rows, (spec, ctx.bits)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import sys
+import time
 
 import pytest
 
@@ -113,6 +114,15 @@ def test_capacity_exit_code():
 
     rc, _, err = run(["count", "--n", "1", "--H", "99999999"])
     assert rc == 3 and err.startswith("error: capacity:")
+
+
+def test_arakelov_cutoff_refused_before_work():
+    t0 = time.perf_counter()
+    rc, out, err = run(["arakelov", "--cutoff", "3000", "--phi", "norm"])
+    elapsed = time.perf_counter() - t0
+    assert rc == 3 and out == ""
+    assert err.startswith("error: capacity:") and err.count("\n") == 1
+    assert elapsed < 1.0
 
 
 def test_bad_flags_exit_code():
