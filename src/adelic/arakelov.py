@@ -295,8 +295,12 @@ def arakelov_term_rows(
     of its height class, formed once and shared by every point of the
     class; only the rows themselves are built per point.
     """
+    return _term_rows(_height_classes(spec, eps, ctx, cap))
+
+
+def _term_rows(classes: list[_HeightClass]) -> list[TermRow]:
     rows = []
-    for c in _height_classes(spec, eps, ctx, cap):
+    for c in classes:
         h2 = Fraction(c.height_sq)
         covolume = vol(c.lattice)
         rows.extend(
@@ -327,6 +331,16 @@ def arakelov_L_partial(
     the term count equal those of a per-point evaluation bit for bit.
     """
     return _series_value(spec, _height_classes(spec, eps, ctx, cap), ctx)
+
+
+def arakelov_series_and_rows(
+    spec: ArakelovSeriesSpec, eps: float = 1e-9, ctx: Ctx = DEFAULT_CTX, cap: int = ENUM_CAP
+) -> tuple[SeriesValue, list[TermRow]]:
+    """``(arakelov_L_partial(...), arakelov_term_rows(...))`` from one
+    pass over the height classes: the base points are enumerated and
+    every class term is evaluated once for both results."""
+    classes = _height_classes(spec, eps, ctx, cap)
+    return _series_value(spec, classes, ctx), _term_rows(classes)
 
 
 def theta_duality_defect(spec: ArakelovSeriesSpec, eps: float = 1e-12, ctx: Ctx = DEFAULT_CTX) -> float:

@@ -22,8 +22,7 @@ from fractions import Fraction
 
 from .arakelov import (
     ArakelovSeriesSpec,
-    arakelov_L_partial,
-    arakelov_term_rows,
+    arakelov_series_and_rows,
     grouped_series_coefficients,
     theta_duality_defect,
 )
@@ -450,8 +449,7 @@ def _cmd_arakelov(args, ctx: Ctx):
             ],
         }
         return lines, payload
-    sv = arakelov_L_partial(spec, args.eps, ctx)
-    rows = arakelov_term_rows(spec, args.eps, ctx)
+    sv, rows = arakelov_series_and_rows(spec, args.eps, ctx)
     lines = [_series_line(sv, ctx), "height_sq,point,covolume,phi_value,phi_error,term,term_error"]
     for r in rows:
         lines.append(

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import CapacityError, ValidationError
 from .heights import ArchKind, MetrizedLineBundle, ProjPoint, height_point_sq
 from .lattice import ENUM_CAP, SeriesValue
@@ -311,6 +309,8 @@ def fit_asymptotics(table: CountTable, a=None, b=None, window: float = 0.6) -> A
     if any(h <= 1.0 for h in hs) or any(c <= 0 for c in ns):
         raise ValidationError(
             "fitted window needs thresholds above 1 and positive counts")
+    import numpy as np  # imported on first use, so counting alone never loads it
+
     x1 = np.log(np.asarray(hs, dtype=float))
     x2 = np.log(x1)
     y = np.log(np.asarray(ns, dtype=float))

@@ -198,10 +198,14 @@ def product_formula_check(x) -> Fraction:
     x = _as_fraction(x)
     if x == 0:
         raise ValidationError("product formula needs a nonzero rational")
-    prod = abs_v(x, INF)
-    for p in support(x):
-        prod *= abs_v(x, Place.finite(p))
-    return prod
+    # Multiply numerators and denominators as integers and reduce once:
+    # one gcd instead of one per place.
+    num, den = 1, 1
+    for v in (INF, *map(Place.finite, support(x))):
+        a = abs_v(x, v)
+        num *= a.numerator
+        den *= a.denominator
+    return Fraction(num, den)
 
 
 def euler_phi(n: int) -> int:

@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy.integrate import quad
-
 from .counts import _int_root, count_table, fit_asymptotics
 from .errors import QuadratureError, ValidationError
 from .fibration import HirzebruchSurface
@@ -137,6 +135,9 @@ class TamagawaSpec:
 
 
 def _quad_panel(f, a, b, epsabs):
+    # imported on first use: scipy is most of a cold CLI start
+    from scipy.integrate import quad
+
     out = quad(f, a, b, epsabs=epsabs, epsrel=1e-12, limit=200, full_output=1)
     return out[0], abs(out[1])
 

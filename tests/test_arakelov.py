@@ -8,6 +8,7 @@ from adelic.arakelov import (
     PhiKind,
     _det_power,
     arakelov_L_partial,
+    arakelov_series_and_rows,
     arakelov_term_rows,
     base_points_by_height,
     convergence_abscissa_probe,
@@ -314,3 +315,9 @@ def test_partial_sum_matches_per_point_oracle_bitwise():
             for r in arakelov_term_rows(spec, eps, ctx)
         ]
         assert got == rows, (spec, ctx.bits)
+        sv2, rows2 = arakelov_series_and_rows(spec, eps, ctx)
+        assert (sv2.value, sv2.error_bound, sv2.terms_used, sv2.rigorous) == (*want, sv.rigorous)
+        assert [
+            (r.height_sq, r.point, r.covolume, r.phi_value, r.phi_error, r.term, r.term_error)
+            for r in rows2
+        ] == rows, (spec, ctx.bits)

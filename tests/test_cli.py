@@ -3,12 +3,18 @@
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import adelic.arakelov
 from adelic.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(argv):
@@ -160,6 +166,35 @@ def test_reruns_byte_identical():
         assert out1 == out2
 
 
+def test_cli_goldens_replay(monkeypatch):
+    # bench/cli_goldens.json pins the stdout and exit code of a fixed
+    # command mix; its file arguments are relative to the checkout root
+    monkeypatch.chdir(ROOT)
+    goldens = json.loads((ROOT / "bench" / "cli_goldens.json").read_text(encoding="utf-8"))
+    assert goldens
+    for g in goldens:
+        rc, out, _ = run(g["argv"])
+        assert (rc, out) == (g["exit"], g["stdout"]), g["name"]
+
+
+# -- import cost ---------------------------------------------------------
+
+
+def test_plain_command_loads_no_numeric_packages():
+    # a fresh interpreter, since this one has numpy loaded already
+    code = (
+        "import sys\n"
+        "import adelic.cli\n"
+        "rc = adelic.cli.main(['height', '1', '1', 'max', '2', '3'])\n"
+        "heavy = [m for m in ('numpy', 'scipy', 'mpmath') if m in sys.modules]\n"
+        "assert rc == 0 and not heavy, (rc, heavy)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "3"
+
+
 # -- json mode ---------------------------------------------------------
 
 
@@ -211,6 +246,21 @@ def test_arakelov_table_and_probes():
         ["3", "8", "18"],
         ["4", "8", "26"],
     ]
+
+
+def test_arakelov_enumerates_once(monkeypatch):
+    calls = []
+    pairs = adelic.arakelov._canonical_pairs
+
+    def counted(*args):
+        calls.append(args)
+        return pairs(*args)
+
+    monkeypatch.setattr(adelic.arakelov, "_canonical_pairs", counted)
+    for mode in ("csv", "json"):
+        calls.clear()
+        rc, _, _ = run(["--output", mode, "arakelov", "--degrees", "1,2", "--s", "2.5", "--cutoff", "5"])
+        assert rc == 0 and len(calls) == 1
 
 
 def test_zeta_matches_count_at_zero():

@@ -64,6 +64,21 @@ def test_product_formula_exact():
         assert product_formula_check(x) == 1
 
 
+def test_product_formula_matches_plain_fraction_product():
+    rng = random.Random(11)
+    xs = [1, -1, 2, -360, 7**5, -(2**10 * 3**4), Fraction(-360, 77),
+          Fraction(1, 2**20), Fraction(-(10**9 + 7), 10**9 + 9)]
+    xs += [random_nonzero_rational(rng) for _ in range(300)]
+    xs += [rng.choice((-1, 1)) * rng.randint(1, 10**6) for _ in range(100)]
+    for x in xs:
+        plain = abs_v(x, INF)
+        for p in support(x):
+            plain *= abs_v(x, Place.finite(p))
+        got = product_formula_check(x)
+        assert type(got) is Fraction
+        assert got == plain == 1, x
+
+
 def test_product_formula_rejects_zero():
     with pytest.raises(ValidationError):
         product_formula_check(Fraction(0))
