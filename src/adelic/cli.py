@@ -91,9 +91,8 @@ exit codes:
 notes:
   --output json emits one object with a schema_version field; numeric
   fields are IEEE doubles, so use csv output to keep digits beyond 64
-  bits.  --threads is accepted for config parity; every reduction is
-  deterministic and single threaded.  `tamagawa` prints a JSON report in
-  both output modes.
+  bits.  Every reduction is deterministic and single threaded.
+  `tamagawa` prints a JSON report in both output modes.
 """
 
 
@@ -812,7 +811,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--precision-bits", type=int, default=64, help="float width in bits, >= 64 (default 64, IEEE double)")
     parser.add_argument("--eps", type=float, default=1e-12, help="target error bound for series (default 1e-12)")
     parser.add_argument("--output", choices=("csv", "json"), default="csv", help="output mode (default csv)")
-    parser.add_argument("--threads", type=int, default=1, help="accepted for config parity; execution is deterministic")
     parser.add_argument("--selftest", action="store_true", help="run the built in property suite and exit nonzero on failure")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
@@ -921,8 +919,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else 0
     try:
-        if args.threads < 1:
-            raise ValidationError(f"threads must be >= 1, got {args.threads}")
         if not args.eps > 0:
             raise ValidationError(f"eps must be > 0, got {args.eps!r}")
         ctx = Ctx(args.precision_bits)

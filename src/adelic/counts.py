@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapacityError, ValidationError
+from .exact import int_root
 from .heights import ArchKind, MetrizedLineBundle, ProjPoint, height_point_sq
 from .lattice import ENUM_CAP, SeriesValue
 from .places import mobius
@@ -106,18 +107,6 @@ def _check_bundle(n: int, B: MetrizedLineBundle) -> None:
         raise ValidationError(f"counting needs an ample bundle, degree {B.m} < 1")
 
 
-def _int_root(x: Fraction, k: int) -> int:
-    """Largest integer t >= 0 with t**k <= x."""
-    if x < 1:
-        return 0
-    t = max(1, int(round(float(x) ** (1.0 / k))))
-    while t**k > x:
-        t -= 1
-    while (t + 1) ** k <= x:
-        t += 1
-    return t
-
-
 def enumerate_Pn(n: int, B: MetrizedLineBundle, H_bound, cap: int = ENUM_CAP):
     """All points of P^n(Q) with height at most H_bound, as canonical
     primitive representatives in deterministic order (height, then
@@ -134,12 +123,12 @@ def enumerate_Pn(n: int, B: MetrizedLineBundle, H_bound, cap: int = ENUM_CAP):
         return []
     dim = n + 1
     if B.arch is ArchKind.MAX:
-        r = _int_root(bound, B.m)
+        r = int_root(bound, B.m)
         budget = None
     else:
         # |x|^2 is a positive integer, so the exact acceptance condition
         # |x|^(2m) <= H^2 reads |x|^2 <= budget.
-        budget = _int_root(bound * bound, B.m)
+        budget = int_root(bound * bound, B.m)
         r = math.isqrt(budget)
     if (2 * r + 1) ** dim > cap:
         raise CapacityError(
@@ -191,7 +180,7 @@ def count_Pn(n: int, B: MetrizedLineBundle, H_bound, cap: int = ENUM_CAP) -> int
         return 0
     dim = n + 1
     if B.arch is ArchKind.MAX:
-        r = _int_root(bound, B.m)
+        r = int_root(bound, B.m)
         if r > cap:
             raise CapacityError(f"sieve radius {r} exceeds the cap {cap}")
         total = 0
@@ -200,7 +189,7 @@ def count_Pn(n: int, B: MetrizedLineBundle, H_bound, cap: int = ENUM_CAP) -> int
             if mu:
                 total += mu * ((2 * (r // d) + 1) ** dim - 1)
         return total // 2
-    budget = _int_root(bound * bound, B.m)
+    budget = int_root(bound * bound, B.m)
     if math.isqrt(budget) > cap:
         raise CapacityError(f"sieve radius {math.isqrt(budget)} exceeds the cap {cap}")
     total = 0

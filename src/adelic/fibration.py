@@ -20,7 +20,8 @@ from math import gcd
 
 from .arakelov import base_points_by_height
 from .errors import CapacityError, ValidationError
-from .heights import ArchKind, ProjPoint, _sqrt_or_float
+from .exact import int_root, sqrt_or_float
+from .heights import ArchKind, ProjPoint
 from .places import Place, abs_v, support
 
 FIBER_ENUM_CAP = 1_000_000
@@ -95,13 +96,11 @@ def twisted_degree(Y: HirzebruchSurface, c: FibrationLineClass) -> int:
     return Y.n * c.w + c.j
 
 
-def _fiber_gauge_sq(Y: HirzebruchSurface, P: FnPoint, arch: ArchKind) -> Fraction:
-    # gauge of (s, t) in the fiber lattice diag(1, N^(-2n)) over the base
-    s, t = P.fiber
-    scale = Fraction(1, P.base_height ** (2 * Y.n))
-    if arch is ArchKind.MAX:
-        return max(Fraction(s * s), t * t * scale)
-    return Fraction(s * s) + t * t * scale
+def _fiber_gauge_sq(s, t, scale: Fraction, arch: ArchKind) -> Fraction:
+    # gauge of (s, t) in the fiber lattice diag(1, scale); over a base of
+    # height N the twist makes scale = N^(-2n)
+    a, b = Fraction(s * s), t * t * scale
+    return max(a, b) if arch is ArchKind.MAX else a + b
 
 
 def height_Fn_sq(Y: HirzebruchSurface, c: FibrationLineClass, P: FnPoint, arch=ArchKind.MAX) -> Fraction:
@@ -112,14 +111,14 @@ def height_Fn_sq(Y: HirzebruchSurface, c: FibrationLineClass, P: FnPoint, arch=A
     archimedean kind applying to the fiber gauge only.
     """
     arch = ArchKind.parse(arch)
-    m_sq = _fiber_gauge_sq(Y, P, arch)
+    m_sq = _fiber_gauge_sq(*P.fiber, Fraction(1, P.base_height ** (2 * Y.n)), arch)
     return m_sq ** c.k * Fraction(P.base_height) ** (2 * twisted_degree(Y, c))
 
 
 def height_Fn(Y: HirzebruchSurface, c: FibrationLineClass, P: FnPoint, arch=ArchKind.MAX):
     """Height of a point under (k, w, j); exact whenever the square root
     of the exact squared height is rational."""
-    return _sqrt_or_float(height_Fn_sq(Y, c, P, arch))
+    return sqrt_or_float(height_Fn_sq(Y, c, P, arch))
 
 
 def character_shift_invariance(Y: HirzebruchSurface, c: FibrationLineClass, P: FnPoint, arch=ArchKind.MAX):
@@ -185,17 +184,14 @@ def height_Fn_raw(Y: HirzebruchSurface, c: FibrationLineClass, base_vec, fiber_v
             primes.update(support(x))
 
     base_sq = max(beta[0] ** 2, beta[1] ** 2)
-    if arch is ArchKind.MAX:
-        fiber_sq = max(phi[0] ** 2, phi[1] ** 2 * base_sq ** (-n))
-    else:
-        fiber_sq = phi[0] ** 2 + phi[1] ** 2 * base_sq ** (-n)
+    fiber_sq = _fiber_gauge_sq(*phi, base_sq ** (-n), arch)
     total_sq = fiber_sq ** c.k * base_sq ** J
     for p in sorted(primes):
         v = Place.finite(p)
         bg = max(abs_v(beta[0], v), abs_v(beta[1], v))
         fg = max(abs_v(phi[0], v), abs_v(phi[1], v) * bg ** (-n))
         total_sq *= fg ** (2 * c.k) * bg ** (2 * J)
-    return _sqrt_or_float(total_sq)
+    return sqrt_or_float(total_sq)
 
 
 def enumerate_Fn(Y: HirzebruchSurface, c: FibrationLineClass, arch, H_bound, cap: int = FIBER_ENUM_CAP) -> list[FnPoint]:
@@ -219,21 +215,15 @@ def enumerate_Fn(Y: HirzebruchSurface, c: FibrationLineClass, arch, H_bound, cap
     bound = Fraction(H_bound)
     if bound < 1:
         return []
-    n_max = max(1, int(float(bound) ** (1.0 / J)))
-    while n_max**J > bound:
-        n_max -= 1
-    while (n_max + 1) ** J <= bound:
-        n_max += 1
-
     out: list[FnPoint] = []
-    for b in base_points_by_height(n_max):
+    for b in base_points_by_height(int_root(bound, J)):
         N = int(max(abs(x) for x in b.coords))
         budget_sq = (bound / Fraction(N) ** J) ** 2  # fiber gauge bound, squared: M^(2k) <= this
-        radius = float(budget_sq) ** (1.0 / (2 * c.k))
-        if not radius < float(cap):
+        # M >= s and M >= |t| / N^n, so M^(2k) <= budget_sq bounds both
+        s_cap = int_root(budget_sq, 2 * c.k)
+        if s_cap >= cap:
             raise CapacityError(f"fiber box at base height {N} exceeds {cap} points")
-        s_cap = int(radius) + 1
-        t_cap = int(radius * N**n) + 1
+        t_cap = int_root(budget_sq * N ** (2 * n * c.k), 2 * c.k)
         scale = Fraction(1, N ** (2 * n))
         picked = []
         for s in range(0, s_cap + 1):
@@ -243,10 +233,7 @@ def enumerate_Fn(Y: HirzebruchSurface, c: FibrationLineClass, arch, H_bound, cap
                         continue
                 elif gcd(s, abs(t)) != 1:
                     continue
-                if arch is ArchKind.MAX:
-                    m_sq = max(Fraction(s * s), t * t * scale)
-                else:
-                    m_sq = Fraction(s * s) + t * t * scale
+                m_sq = _fiber_gauge_sq(s, t, scale, arch)
                 if m_sq**c.k > budget_sq:
                     continue
                 picked.append((m_sq, (s, t)))

@@ -19,12 +19,11 @@ feeds the corresponding local factors with different data.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .errors import SectionZeroError, ValidationError
+from .exact import as_fraction, sqrt_or_float
 from .lattice import HermitianLattice, direct_sum
 from .places import INF, Place, abs_v, content, support
 
@@ -43,14 +42,6 @@ class ArchKind(enum.Enum):
             raise ValidationError(f"archimedean metric must be 'max' or 'l2', got {text!r}") from None
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    raise ValidationError(f"expected an exact rational, got {type(x).__name__}")
-
-
 class ProjPoint:
     """Point of P^n(Q), reduced to the primitive integer representative
     whose first nonzero coordinate is positive."""
@@ -58,7 +49,7 @@ class ProjPoint:
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        vals = [_as_fraction(c) for c in coords]
+        vals = [as_fraction(c) for c in coords]
         if len(vals) < 2:
             raise ValidationError("projective point needs at least 2 coordinates")
         if all(v == 0 for v in vals):
@@ -126,7 +117,7 @@ class Section:
         out = Fraction(1)
         for v, a in zip(vec, self.exponents):
             if a:
-                out *= _as_fraction(v) ** a
+                out *= as_fraction(v) ** a
         return out
 
     @classmethod
@@ -156,7 +147,7 @@ class AdelicPoint:
         for place, vec in (overrides or {}).items():
             if not isinstance(place, Place):
                 raise ValidationError("override keys must be Places")
-            vals = tuple(_as_fraction(v) for v in vec)
+            vals = tuple(as_fraction(v) for v in vec)
             if len(vals) != len(default.coords):
                 raise ValidationError("override vector length must match the default point")
             if all(v == 0 for v in vals):
@@ -179,21 +170,18 @@ class AdelicPoint:
 def _gauge_sq_arch(vec, arch: ArchKind) -> Fraction:
     """Square of the archimedean gauge, always rational."""
     if arch == ArchKind.MAX:
-        g = max(abs(_as_fraction(v)) for v in vec)
+        g = max(abs(as_fraction(v)) for v in vec)
         return g * g
-    return sum(_as_fraction(v) ** 2 for v in vec)
+    return sum(as_fraction(v) ** 2 for v in vec)
 
 
-def _gauge_finite(vec, p: int) -> Fraction:
-    return max(abs_v(v, Place.finite(p)) for v in vec if v != 0)
-
-
-def _sqrt_or_float(x: Fraction):
-    n, d = x.numerator, x.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return math.sqrt(x)
+def _gauge_sq(vec, v: Place, arch: ArchKind) -> Fraction:
+    """Square of the gauge of vec at v: the largest |x_i|_p at a finite
+    place, the archimedean gauge of ``arch`` at infinity."""
+    if v.is_finite:
+        g = max(abs_v(x, v) for x in vec if x != 0)
+        return g * g
+    return _gauge_sq_arch(vec, arch)
 
 
 def local_norm_sq(s: Section, vec, v: Place) -> Fraction:
@@ -205,13 +193,8 @@ def local_norm_sq(s: Section, vec, v: Place) -> Fraction:
     val = s.value(vec)
     if val == 0:
         raise SectionZeroError(f"section {s.exponents} vanishes at place {v}", place=v)
-    m = s.bundle.m
-    if v.is_finite:
-        g = _gauge_finite(vec, v.p)
-        a = abs_v(val, v)
-        return (a * a) / g ** (2 * m)
-    g2 = _gauge_sq_arch(vec, s.bundle.arch)
-    return (val * val) / g2**m
+    a = abs_v(val, v)
+    return (a * a) / _gauge_sq(vec, v, s.bundle.arch) ** s.bundle.m
 
 
 def height_point(B: MetrizedLineBundle, x: ProjPoint):
@@ -222,7 +205,7 @@ def height_point(B: MetrizedLineBundle, x: ProjPoint):
         raise ValidationError(f"point lives in P^{x.n}, bundle on P^{B.n}")
     g2 = _gauge_sq_arch(x.coords, B.arch)
     h2 = g2**B.m
-    return _sqrt_or_float(h2)
+    return sqrt_or_float(h2)
 
 
 def height_point_sq(B: MetrizedLineBundle, x: ProjPoint) -> Fraction:
@@ -262,7 +245,7 @@ def height_adelic(B: MetrizedLineBundle, s: Section, A: AdelicPoint):
     total_sq = Fraction(1)
     for v in sorted(places):
         total_sq /= local_norm_sq(s, A.governing_vector(v), v)
-    return _sqrt_or_float(total_sq)
+    return sqrt_or_float(total_sq)
 
 
 def restrict_to_point(B: MetrizedLineBundle, x: ProjPoint) -> HermitianLattice:

@@ -30,9 +30,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .errors import CapacityError, PoleError, ValidationError
+from .exact import as_fraction, identity, inverse, is_diagonal, leading_minors, sqrt_or_float
 from .numeric import Ctx, DEFAULT_CTX, fsum_c
 
 ENUM_CAP = 5_000_000
@@ -45,16 +45,6 @@ _ALPHA_GRID = (
     Fraction(1, 32),
     Fraction(1, 64),
 )
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    raise ValidationError(f"expected an exact rational, got {type(x).__name__}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +79,7 @@ class HermitianLattice:
     __slots__ = ("gram", "rank", "_det", "_int_gram", "_int_scale", "_inv")
 
     def __init__(self, gram):
-        rows = [tuple(_as_fraction(v) for v in row) for row in gram]
+        rows = [tuple(as_fraction(v) for v in row) for row in gram]
         d = len(rows)
         if d == 0:
             raise ValidationError("lattice rank must be at least 1")
@@ -100,7 +90,7 @@ class HermitianLattice:
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise ValidationError("Gram matrix must be symmetric")
-        minors = _leading_minors(rows)
+        minors = leading_minors(rows)
         if any(m <= 0 for m in minors):
             raise ValidationError("Gram matrix must be positive definite")
         self.gram = tuple(rows)
@@ -116,14 +106,12 @@ class HermitianLattice:
 
     @classmethod
     def identity(cls, d: int) -> "HermitianLattice":
-        return cls([[Fraction(int(i == j)) for j in range(d)] for i in range(d)])
+        return cls(identity(d))
 
     @classmethod
     def diagonal(cls, entries) -> "HermitianLattice":
         entries = list(entries)
-        return cls(
-            [[_as_fraction(entries[i]) if i == j else Fraction(0) for j in range(len(entries))] for i in range(len(entries))]
-        )
+        return cls([[e if i == j else 0 for j in range(len(entries))] for i, e in enumerate(entries)])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, HermitianLattice) and self.gram == other.gram
@@ -137,9 +125,6 @@ class HermitianLattice:
     @property
     def det(self) -> Fraction:
         return self._det
-
-    def is_diagonal(self) -> bool:
-        return all(self.gram[i][j] == 0 for i in range(self.rank) for j in range(self.rank) if i != j)
 
     def norm_sq(self, x) -> Fraction:
         """Exact |x|^2 = x^T G x for an integer vector."""
@@ -162,61 +147,10 @@ class HermitianLattice:
         return total
 
 
-def _leading_minors(rows) -> list[Fraction]:
-    """Determinants of the leading principal minors, by exact elimination."""
-    d = len(rows)
-    a = [list(r) for r in rows]
-    minors = []
-    det = Fraction(1)
-    for k in range(d):
-        piv = a[k][k]
-        if piv == 0:
-            # symmetric PD would never hit this; bail with a zero minor
-            minors.extend([Fraction(0)] * (d - k))
-            return minors
-        det *= piv
-        minors.append(det)
-        for i in range(k + 1, d):
-            f = a[i][k] / piv
-            if f == 0:
-                continue
-            for j in range(k, d):
-                a[i][j] -= f * a[k][j]
-    return minors
-
-
-def _invert_exact(rows) -> tuple[tuple[Fraction, ...], ...]:
-    d = len(rows)
-    a = [list(r) + [Fraction(int(i == j)) for j in range(d)] for i, r in enumerate(rows)]
-    for k in range(d):
-        piv_row = next(i for i in range(k, d) if a[i][k] != 0)
-        a[k], a[piv_row] = a[piv_row], a[k]
-        piv = a[k][k]
-        a[k] = [v / piv for v in a[k]]
-        for i in range(d):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [vi - f * vk for vi, vk in zip(a[i], a[k])]
-    return tuple(tuple(row[d:]) for row in a)
-
-
-def _sqrt_exact(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
-    n, d = x.numerator, x.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
 def vol(L: HermitianLattice):
     """Covolume sqrt(det G); exact Fraction when det is a perfect rational
     square, float otherwise."""
-    r = _sqrt_exact(L.det)
-    if r is not None:
-        return r
-    return math.sqrt(L.det)
+    return sqrt_or_float(L.det)
 
 
 def arithmetic_degree(L: HermitianLattice) -> float:
@@ -224,11 +158,16 @@ def arithmetic_degree(L: HermitianLattice) -> float:
     return -0.5 * math.log(float(L.det))
 
 
+def _gram_inverse(L: HermitianLattice):
+    """G^(-1), computed once per lattice."""
+    if L._inv is None:
+        L._inv = inverse(L.gram)
+    return L._inv
+
+
 def dual(L: HermitianLattice) -> HermitianLattice:
     """Dual lattice, Gram matrix G^(-1)."""
-    if L._inv is None:
-        L._inv = _invert_exact(L.gram)
-    return HermitianLattice(L._inv)
+    return HermitianLattice(_gram_inverse(L))
 
 
 def direct_sum(L1: HermitianLattice, L2: HermitianLattice) -> HermitianLattice:
@@ -322,7 +261,7 @@ def _enumerate_scaled(L: HermitianLattice, R2: Fraction, cap: int = ENUM_CAP):
 def enumerate_vectors(L: HermitianLattice, R, cap: int = ENUM_CAP) -> list[tuple[int, ...]]:
     """Integer vectors with |x|^2 <= R^2, zero included, in lexicographic
     order.  Raises CapacityError when more than ``cap`` vectors qualify."""
-    Rq = _as_fraction(R)
+    Rq = as_fraction(R)
     if Rq < 0:
         raise ValidationError("radius must be nonnegative")
     vecs = [v for v, _ in _enumerate_scaled(L, Rq * Rq, cap)]
@@ -351,9 +290,7 @@ def _theta1_upper(u: float) -> float:
 def _lambda_min_lower(L: HermitianLattice) -> Fraction:
     """Exact positive lower bound for the smallest Gram eigenvalue:
     1 / ||G^(-1)||_inf."""
-    if L._inv is None:
-        L._inv = _invert_exact(L.gram)
-    row_sums = [sum(abs(v) for v in row) for row in L._inv]
+    row_sums = [sum(abs(v) for v in row) for row in _gram_inverse(L)]
     return 1 / max(row_sums)
 
 
@@ -414,7 +351,7 @@ def theta(L: HermitianLattice, t, eps: float = 1e-12, ctx: Ctx = DEFAULT_CTX, ca
     exact factorisation into rank-one series (the same series, summed over
     a box instead of a ball); dense ones enumerate the ball.
     """
-    tq = _as_fraction(t)
+    tq = as_fraction(t)
     if tq <= 0:
         raise ValidationError("theta needs t > 0")
     if not (eps > 0):
@@ -423,7 +360,7 @@ def theta(L: HermitianLattice, t, eps: float = 1e-12, ctx: Ctx = DEFAULT_CTX, ca
         raise ValidationError("eps below 1e-250 is not supported")
     d = L.rank
 
-    if L.is_diagonal():
+    if is_diagonal(L.gram):
         axis_eps = eps / (4.0 * d)
         while True:
             vals, tails, terms = [], [], 0
@@ -466,7 +403,7 @@ def theta(L: HermitianLattice, t, eps: float = 1e-12, ctx: Ctx = DEFAULT_CTX, ca
 def theta_functional_equation_defect(L: HermitianLattice, t, eps: float = 1e-12, ctx: Ctx = DEFAULT_CTX) -> TransformDefect:
     """Defect |theta(L, t) - vol^(-1) t^(-d/2) theta(dual, 1/t)| together
     with the allowance implied by the two reported error bounds."""
-    tq = _as_fraction(t)
+    tq = as_fraction(t)
     if tq <= 0:
         raise ValidationError("theta needs t > 0")
     lhs = theta(L, tq, eps, ctx)
@@ -589,7 +526,7 @@ def zeta_direct_truncated(
     d = L.rank
     if s.real <= d:
         raise ValidationError("direct zeta summation needs Re(s) > rank")
-    Rq = _as_fraction(radius)
+    Rq = as_fraction(radius)
     if Rq <= 0:
         raise ValidationError("radius must be positive")
     vecs = _enumerate_scaled(L, Rq * Rq, cap)

@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import lru_cache, total_ordering
 
 from .errors import ValidationError
+from .exact import as_fraction
 
 # Deterministic Miller-Rabin witness set, sound for all n < 3.317e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -114,17 +115,9 @@ class Place:
 INF = Place.infinite()
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    raise ValidationError(f"expected an exact rational (int or Fraction), got {type(x).__name__}")
-
-
 def ord_p(x, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
-    x = _as_fraction(x)
+    x = as_fraction(x)
     if x == 0:
         raise ValidationError("ord_p of zero is undefined")
     if not is_prime(p):
@@ -146,7 +139,7 @@ def abs_v(x, v: Place) -> Fraction:
 
     |x|_inf is the usual absolute value; |x|_p = p^(-ord_p(x)); |0|_v = 0.
     """
-    x = _as_fraction(x)
+    x = as_fraction(x)
     if not isinstance(v, Place):
         raise ValidationError(f"expected a Place, got {type(v).__name__}")
     if x == 0:
@@ -185,7 +178,7 @@ def factorize(n: int) -> dict[int, int]:
 
 def support(x) -> list[int]:
     """Primes at which a nonzero rational has a nontrivial absolute value."""
-    x = _as_fraction(x)
+    x = as_fraction(x)
     if x == 0:
         raise ValidationError("support of zero is undefined")
     ps = set(factorize(abs(x.numerator))) | set(factorize(x.denominator))
@@ -195,7 +188,7 @@ def support(x) -> list[int]:
 def product_formula_check(x) -> Fraction:
     """Exact product of |x|_v over the archimedean place and all primes in
     the support of x.  Equals 1 for every nonzero rational."""
-    x = _as_fraction(x)
+    x = as_fraction(x)
     if x == 0:
         raise ValidationError("product formula needs a nonzero rational")
     # Multiply numerators and denominators as integers and reduce once:
@@ -249,7 +242,7 @@ def content(vec) -> Fraction:
     common scale; concretely c is the unique positive rational such that
     vec/c has coprime integer entries.  Zero vector is rejected.
     """
-    fracs = [_as_fraction(v) for v in vec]
+    fracs = [as_fraction(v) for v in vec]
     if all(f == 0 for f in fracs):
         raise ValidationError("content of the zero vector is undefined")
     from math import gcd, lcm

@@ -25,63 +25,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SectionZeroError, ValidationError
-from .heights import ArchKind, MetrizedLineBundle, ProjPoint, Section, _gauge_sq_arch, _sqrt_or_float
+from .exact import Matrix, as_fraction, det, identity, is_diagonal, sqrt_or_float
+from .heights import MetrizedLineBundle, ProjPoint, Section, _gauge_sq
 from .places import INF, Place, abs_v, content, support
-
-Matrix = tuple[tuple[Fraction, ...], ...]
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    raise ValidationError(f"expected an exact rational, got {type(x).__name__}")
 
 
 def _as_matrix(rows, n: int) -> Matrix:
-    mat = tuple(tuple(_as_fraction(v) for v in row) for row in rows)
+    mat = tuple(tuple(as_fraction(v) for v in row) for row in rows)
     if len(mat) != n or any(len(r) != n for r in mat):
         raise ValidationError(f"expected a {n} x {n} matrix")
-    if _det(mat) == 0:
+    if det(mat) == 0:
         raise ValidationError("group element matrices must be invertible")
     return mat
 
 
-def _det(mat: Matrix) -> Fraction:
-    n = len(mat)
-    a = [list(r) for r in mat]
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-    return det
-
-
 def _mat_vec(mat: Matrix, vec) -> tuple[Fraction, ...]:
-    return tuple(sum(m * _as_fraction(v) for m, v in zip(row, vec)) for row in mat)
+    return tuple(sum(m * as_fraction(v) for m, v in zip(row, vec)) for row in mat)
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n = len(a)
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n))
-
-
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-
-
-def _is_diagonal(mat: Matrix) -> bool:
-    return all(mat[i][j] == 0 for i in range(len(mat)) for j in range(len(mat)) if i != j)
 
 
 class AdelicGroupElement:
@@ -97,7 +61,7 @@ class AdelicGroupElement:
         if not isinstance(n, int) or isinstance(n, bool) or n < 2:
             raise ValidationError(f"matrix size must be an int >= 2, got {n!r}")
         self.n = n
-        self.default = _as_matrix(default, n) if default is not None else _identity(n)
+        self.default = _as_matrix(default, n) if default is not None else identity(n)
         comp: dict[Place, Matrix] = {}
         for place, mat in (components or {}).items():
             if not isinstance(place, Place):
@@ -109,7 +73,7 @@ class AdelicGroupElement:
         return self.components.get(v, self.default)
 
     def __repr__(self) -> str:
-        return f"AdelicGroupElement(n={self.n}, components={sorted(self.components)}, default={'id' if self.default == _identity(self.n) else 'custom'})"
+        return f"AdelicGroupElement(n={self.n}, components={sorted(self.components)}, default={'id' if self.default == identity(self.n) else 'custom'})"
 
 
 @dataclass(frozen=True)
@@ -123,7 +87,7 @@ class Character:
         object.__setattr__(self, "exponents", tuple(int(v) for v in self.exponents))
 
     def value(self, diag_matrix: Matrix) -> Fraction:
-        if not _is_diagonal(diag_matrix):
+        if not is_diagonal(diag_matrix):
             raise ValidationError("characters act on diagonal matrices")
         out = Fraction(1)
         for i, e in enumerate(self.exponents):
@@ -141,13 +105,6 @@ def section_character(s: Section) -> Character:
 # -- twisted heights ---------------------------------------------------
 
 
-def _gauge_sq_at(vec, v: Place, arch: ArchKind) -> Fraction:
-    if v.is_finite:
-        g = max(abs_v(c, v) for c in vec if c != 0)
-        return g * g
-    return _gauge_sq_arch(vec, arch)
-
-
 def twisted_height_sq(B: MetrizedLineBundle, x: ProjPoint, g: AdelicGroupElement) -> Fraction:
     """Exact square of the twisted height of a rational point."""
     if g.n != B.n + 1:
@@ -162,11 +119,11 @@ def twisted_height_sq(B: MetrizedLineBundle, x: ProjPoint, g: AdelicGroupElement
     total_sq = Fraction(1)
     finite_listed = [v for v in g.components if v.is_finite]
     if INF in g.components:
-        total_sq *= _gauge_sq_at(_mat_vec(g.components[INF], xt), INF, B.arch)
+        total_sq *= _gauge_sq(_mat_vec(g.components[INF], xt), INF, B.arch)
     else:
-        total_sq *= _gauge_sq_at(w, INF, B.arch)
+        total_sq *= _gauge_sq(w, INF, B.arch)
     for v in finite_listed:
-        total_sq *= _gauge_sq_at(_mat_vec(g.components[v], xt), v, B.arch)
+        total_sq *= _gauge_sq(_mat_vec(g.components[v], xt), v, B.arch)
     denom = abs(cw)
     for v in finite_listed:
         denom *= abs_v(cw, v)
@@ -177,7 +134,7 @@ def twisted_height_sq(B: MetrizedLineBundle, x: ProjPoint, g: AdelicGroupElement
 def twisted_height(B: MetrizedLineBundle, x: ProjPoint, g: AdelicGroupElement):
     """Twisted height; exact Fraction whenever the square root is
     rational (always, for the sup metric)."""
-    return _sqrt_or_float(twisted_height_sq(B, x, g))
+    return sqrt_or_float(twisted_height_sq(B, x, g))
 
 
 def twisted_metric_norm_sq(B: MetrizedLineBundle, s: Section, x: ProjPoint, g: AdelicGroupElement, v: Place) -> Fraction:
@@ -191,12 +148,12 @@ def twisted_metric_norm_sq(B: MetrizedLineBundle, s: Section, x: ProjPoint, g: A
     if val == 0:
         raise SectionZeroError(f"section {s.exponents} vanishes at {x!r}", place=v)
     image = _mat_vec(g.local_matrix(v), xt)
-    a = abs_v(val, v) if v.is_finite else abs(val)
-    return (a * a) / _gauge_sq_at(image, v, B.arch) ** B.m
+    a = abs_v(val, v)
+    return (a * a) / _gauge_sq(image, v, B.arch) ** B.m
 
 
 def twisted_metric_norm(B: MetrizedLineBundle, s: Section, x: ProjPoint, g: AdelicGroupElement, v: Place):
-    return _sqrt_or_float(twisted_metric_norm_sq(B, s, x, g, v))
+    return sqrt_or_float(twisted_metric_norm_sq(B, s, x, g, v))
 
 
 def compare_twisted(B: MetrizedLineBundle, s: Section, x: ProjPoint, g: AdelicGroupElement):
@@ -212,7 +169,7 @@ def compare_twisted(B: MetrizedLineBundle, s: Section, x: ProjPoint, g: AdelicGr
     if s.bundle != B:
         raise ValidationError("section does not belong to the bundle")
     for v, mat in list(g.components.items()) + [(None, g.default)]:
-        if not _is_diagonal(mat):
+        if not is_diagonal(mat):
             raise ValidationError("compare_twisted needs diagonal twists")
     chi = section_character(s)
     xt = x.coords
@@ -237,12 +194,12 @@ def compare_twisted(B: MetrizedLineBundle, s: Section, x: ProjPoint, g: AdelicGr
         sval = s.value(img)
         if sval == 0:
             raise SectionZeroError(f"section {s.exponents} vanishes at the translate at {v}", place=v)
-        a = abs_v(sval, v) if v.is_finite else abs(sval)
-        model_sq = (a * a) / _gauge_sq_at(img, v, B.arch) ** B.m
+        a = abs_v(sval, v)
+        model_sq = (a * a) / _gauge_sq(img, v, B.arch) ** B.m
         cv = chi.value(mat)
-        cva = abs_v(cv, v) if v.is_finite else abs(cv)
+        cva = abs_v(cv, v)
         rhs_sq /= (cva * cva) * model_sq
-    return _sqrt_or_float(lhs_sq), _sqrt_or_float(rhs_sq)
+    return sqrt_or_float(lhs_sq), sqrt_or_float(rhs_sq)
 
 
 def class_right_translate(g: AdelicGroupElement, gamma) -> AdelicGroupElement:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from adelic.exact import det
 from adelic.lattice import HermitianLattice
 
 
@@ -41,3 +42,28 @@ def random_nonzero_rational(rng, max_num=10**6, max_den=10**6) -> Fraction:
     while n == 0:
         n = rng.randint(-max_num, max_num)
     return Fraction(n, rng.randint(1, max_den))
+
+
+def random_invertible(rng, n, bound=4) -> list[list[Fraction]]:
+    """Random invertible n x n rational matrix, by rejection."""
+    while True:
+        m = [[Fraction(rng.randint(-bound, bound), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        if det(m) != 0:
+            return m
+
+
+def random_unimodular(rng, n, steps=6) -> list[list[Fraction]]:
+    """Product of elementary shears and swaps, so the determinant is +-1
+    and all entries are integers."""
+    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
+        if rng.random() < 0.5:
+            c = rng.choice([-1, 1])
+            for k in range(n):
+                m[i][k] += c * m[j][k]
+        else:
+            m[i], m[j] = m[j], m[i]
+    return m

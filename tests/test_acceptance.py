@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from helpers import random_lattice, random_nonzero_rational
+from helpers import random_invertible, random_lattice, random_nonzero_rational, random_unimodular
 
 from adelic.arakelov import (
     ArakelovSeriesSpec,
@@ -174,30 +174,6 @@ def _random_diag(rng, n):
     return [[out[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
 
-def _random_invertible(rng, n, bound=4):
-    from adelic.twist import _det
-
-    while True:
-        m = [[Fraction(rng.randint(-bound, bound), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
-        if _det(tuple(tuple(r) for r in m)) != 0:
-            return m
-
-
-def _random_unimodular(rng, n, steps=6):
-    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for _ in range(steps):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        if rng.random() < 0.5:
-            c = rng.choice([-1, 1])
-            for k in range(n):
-                m[i][k] += c * m[j][k]
-        else:
-            m[i], m[j] = m[j], m[i]
-    return m
-
-
 def _random_point(rng, n, nonzero_coords=False):
     while True:
         c = [rng.randint(-20, 20) for _ in range(n + 1)]
@@ -240,11 +216,11 @@ def test_05_twisted_height_laws():
     cases = []
     for _ in range(30):
         x = _random_point(rng, 1)
-        g = AdelicGroupElement(2, {p: _random_invertible(rng, 2)})
+        g = AdelicGroupElement(2, {p: random_invertible(rng, 2)})
         s = Section.coordinate(B, 0 if x.coords[0] else 1)
         cases.append((x, g, s))
     for _ in range(30):
-        k = _random_unimodular(rng, 2)
+        k = random_unimodular(rng, 2)
         for x, g, s in cases:
             kg = [[sum(k[i][t] * g.components[p][t][j] for t in range(2)) for j in range(2)] for i in range(2)]
             tg = AdelicGroupElement(2, {p: kg})
@@ -258,9 +234,9 @@ def test_05_twisted_height_laws():
         x = _random_point(rng, n)
         comps = {}
         for v in rng.sample([INF, Place.finite(2), Place.finite(7)], k=rng.randint(0, 2)):
-            comps[v] = _random_invertible(rng, n + 1)
-        g = AdelicGroupElement(n + 1, comps, default=_random_invertible(rng, n + 1) if rng.random() < 0.4 else None)
-        gamma = _random_invertible(rng, n + 1)
+            comps[v] = random_invertible(rng, n + 1)
+        g = AdelicGroupElement(n + 1, comps, default=random_invertible(rng, n + 1) if rng.random() < 0.4 else None)
+        gamma = random_invertible(rng, n + 1)
         assert twisted_height_sq(B, x, class_right_translate(g, gamma)) == twisted_height_sq(
             B, apply_global(gamma, x), g
         )

@@ -131,6 +131,40 @@ def test_arakelov_cutoff_refused_before_work():
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "1", "--arch", "max", "--H", "1e400"],
+        ["count", "--n", "1", "--arch", "max", "--H", "1e30"],
+        ["count", "--n", "1", "--arch", "l2", "--H", "1e400"],
+        ["zeta", "--n", "1", "--s", "3", "--H", "1e400"],
+        ["hirzebruch", "enumerate", "--n", "1", "--cls", "1,0,1", "--H", "1e400"],
+        ["hirzebruch", "enumerate", "--n", "1", "--cls", "1,0,200", "--H", "1e400"],
+        ["tamagawa", "--variety", "P1", "--cutoff", "100", "--peyre-check", "--H", "1e400"],
+        ["tamagawa", "--variety", "P1", "--cutoff", "100", "--peyre-check", "--H", "1e700"],
+        ["tamagawa", "--variety", "P1", "--cutoff", "100", "--peyre-check", "--H", "36000000000000"],
+    ],
+)
+def test_huge_bound_refused_before_work(argv):
+    # integer roots stay exact for any bound, so the caps refuse these at
+    # once; 1e400 used to overflow a float, and 1e30 to start a +-1
+    # correction walk from a float estimate some 1e14 steps off.  The
+    # fit ladder of --peyre-check is refused before its lower thresholds
+    # are counted (3.6e13 reaches degree-1 height 6e6, over the cap).
+    t0 = time.perf_counter()
+    rc, out, err = run(argv)
+    elapsed = time.perf_counter() - t0
+    assert rc == 3 and out == ""
+    assert err.startswith("error: capacity:") and err.count("\n") == 1
+    assert elapsed < 1.0
+
+
+def test_tamagawa_surface_beyond_two_refused():
+    rc, out, err = run(["tamagawa", "--variety", "F3", "--cutoff", "1000"])
+    assert rc == 3 and out == ""
+    assert err.startswith("error: capacity:") and "F3" in err
+
+
 def test_bad_flags_exit_code():
     for argv in (
         ["nope"],

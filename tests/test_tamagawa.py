@@ -81,6 +81,17 @@ def test_arch_density_surfaces():
         assert abs(archimedean_density(F, "l2") - math.pi**2) < 1e-8
 
 
+@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("arch", ["max", "l2"])
+def test_arch_density_surfaces_refused_beyond_two(n, arch):
+    # the fiber-base quadrature reads 15.966 for F3 (max metric, exact 16)
+    # with a reported error near 1e-10, so these densities are refused
+    with pytest.raises(QuadratureError, match=f"F{n}"):
+        archimedean_density(HirzebruchSurface(n), arch)
+    with pytest.raises(QuadratureError):
+        tamagawa_number(TamagawaSpec(HirzebruchSurface(-n), arch, 100))
+
+
 def test_arch_density_p2_max_monte_carlo():
     # importance sampling from a product of t(0.5) laws; the weight
     # max(1,|x|,|y|)^-3 / q(x,y) is bounded, so the mean converges at

@@ -17,6 +17,7 @@ from adelic.twist import (
     twisted_height_sq,
     twisted_metric_norm_sq,
 )
+from helpers import random_invertible, random_unimodular
 
 B1 = MetrizedLineBundle(1, 1, ArchKind.MAX)
 
@@ -31,32 +32,6 @@ def random_point(rng, n, bound=30):
         c = [rng.randint(-bound, bound) for _ in range(n + 1)]
         if any(c):
             return ProjPoint(c)
-
-
-def random_invertible(rng, n, bound=4):
-    from adelic.twist import _det
-
-    while True:
-        m = [[Fraction(rng.randint(-bound, bound), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
-        if _det(tuple(tuple(r) for r in m)) != 0:
-            return m
-
-
-def random_unimodular(rng, n, steps=6):
-    """Product of elementary shears and swaps, so the determinant is +-1
-    and all entries are integers."""
-    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for _ in range(steps):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        if rng.random() < 0.5:
-            c = rng.choice([-1, 1])
-            for k in range(n):
-                m[i][k] += c * m[j][k]
-        else:
-            m[i], m[j] = m[j], m[i]
-    return m
 
 
 def test_group_element_validation():
