@@ -23,7 +23,6 @@ change the value.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass, replace
@@ -31,7 +30,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Callable, Optional
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, brief
 from .heights import ArchKind, ProjPoint, restrict_bundle_sum
 from .lattice import (
     ENUM_CAP,
@@ -42,7 +41,7 @@ from .lattice import (
     theta,
     vol,
 )
-from .numeric import Ctx, DEFAULT_CTX, fsum_c
+from .numeric import Ctx, DEFAULT_CTX
 from .places import euler_phi
 
 
@@ -164,7 +163,7 @@ def _canonical_pairs(cutoff, arch: ArchKind) -> list[tuple[int, int, int]]:
         raise ValidationError("cutoff must be a positive integer")
     candidates = (B + 1) * (2 * B + 1)
     if candidates > ENUM_CAP:
-        raise CapacityError(f"base point enumeration needs {candidates} candidates, over the cap {ENUM_CAP}")
+        raise CapacityError(f"base point enumeration needs {brief(candidates)} candidates, over the cap {ENUM_CAP}")
     euclid = arch is ArchKind.L2
     found = [(1, 0, 1)]  # (0 : 1), the one canonical pair with a = 0
     for a in range(1, B + 1):
@@ -193,29 +192,6 @@ def base_points_by_height(cutoff, arch=ArchKind.MAX, point_filter=None) -> list[
     return pts
 
 
-def _det_power(det: Fraction, expo: complex, ctx: Ctx):
-    """det^expo for exact positive det; covol(L)^s is det^(s/2)."""
-    if expo == 0 or det == 1:
-        return 1.0 if ctx.is_float else ctx.real(1)
-    if ctx.is_float:
-        ln = math.log(det.numerator) - math.log(det.denominator)
-        if expo.imag == 0.0:
-            return math.exp(expo.real * ln)
-        return cmath.exp(expo * ln)
-    return ctx.power(ctx.real(det), ctx.to_complex(expo))
-
-
-def _abs(z, ctx: Ctx) -> float:
-    return abs(z) if ctx.is_float else float(ctx.abs(z))
-
-
-def _sum_terms(terms, ctx: Ctx):
-    if ctx.is_float:
-        z = fsum_c(terms)
-        return z.real if z.imag == 0.0 else z
-    return ctx.fsum_complex(terms)
-
-
 def _phi_factory(spec: ArakelovSeriesSpec, per_eps: float, ctx: Ctx, cap: int):
     # one evaluation per distinct restriction; distinct height classes
     # share a lattice only when every bundle degree is 0
@@ -232,7 +208,7 @@ def _phi_factory(spec: ArakelovSeriesSpec, per_eps: float, ctx: Ctx, cap: int):
                 sv = lattice_zeta(L, d * spec.s, per_eps, ctx, cap)
                 got = (sv.value, sv.error_bound)
             else:
-                got = (1.0 if ctx.is_float else ctx.real(1), 0.0)
+                got = (ctx.one, 0.0)
             cache[L] = got
         return got
 
@@ -266,16 +242,16 @@ def _height_classes(spec: ArakelovSeriesSpec, eps: float, ctx: Ctx, cap: int) ->
     for h2, pts in members:
         L = restrict_bundle_sum(spec.bundle_degrees, ProjPoint(pts[0]), spec.arch)
         val, err = phi(L)
-        w = _det_power(L.det, half_s, ctx)
+        w = ctx.rational_power(L.det, half_s)
         term = val * w
-        term_err = err * _abs(w, ctx) + _roundoff_allowance(_abs(term, ctx), ctx.bits)
+        term_err = err * float(abs(w)) + _roundoff_allowance(float(abs(term)), ctx.bits)
         out.append(_HeightClass(h2, tuple(pts), L, val, err, term, term_err))
     return out
 
 
 def _series_value(spec: ArakelovSeriesSpec, classes: list[_HeightClass], ctx: Ctx) -> SeriesValue:
     # expand each class by its multiplicity: the per-point term sequence
-    value = _sum_terms([c.term for c in classes for _ in c.points], ctx)
+    value = ctx.fsum_mixed([c.term for c in classes for _ in c.points])
     err = math.fsum(c.term_error for c in classes for _ in c.points)
     # zeta factors lean on incomplete gamma truncation heuristics; theta
     # and bare covolume factors carry proved tail bounds
@@ -326,9 +302,9 @@ def arakelov_L_partial(
 
     Terms are formed once per height class and summed with each class
     term repeated by its multiplicity, in class order.  That is the
-    per-point term sequence itself, so the value (exactly rounded at 64
-    bits, sequential under mpmath), the error bound (exactly rounded) and
-    the term count equal those of a per-point evaluation bit for bit.
+    per-point term sequence itself, so the value (the context's sum of
+    that sequence), the error bound (exactly rounded) and the term count
+    equal those of a per-point evaluation bit for bit.
     """
     return _series_value(spec, _height_classes(spec, eps, ctx, cap), ctx)
 
@@ -357,7 +333,7 @@ def theta_duality_defect(spec: ArakelovSeriesSpec, eps: float = 1e-12, ctx: Ctx 
     mirror = replace(spec, bundle_degrees=tuple(-m for m in spec.bundle_degrees), s=1 - spec.s)
     lhs = arakelov_L_partial(spec, eps, ctx)
     rhs = arakelov_L_partial(mirror, eps, ctx)
-    return _abs(lhs.value - rhs.value, ctx)
+    return float(abs(lhs.value - rhs.value))
 
 
 def grouped_series_coefficients(
@@ -372,10 +348,9 @@ def grouped_series_coefficients(
 
     All points of height N share one restriction, hence one floating
     term; a group is one height class of the series, that term with its
-    enumerated multiplicity, built once.  The sum reassembled from the
-    groups must reproduce the value arakelov_L_partial returns bit for
-    bit (same floating terms, repeated by multiplicity in the same
-    order), which is verified here on every call.
+    enumerated multiplicity, built once.  arakelov_L_partial sums exactly
+    these terms repeated by multiplicity in this order, so the groups
+    reassemble its value bit for bit.
 
     The reference column evaluates 2*(1 + 2*Phi(N)) with Phi the
     summatory totient, giving 6, 10, 18, 26, ...; enumeration yields 4,
@@ -405,10 +380,6 @@ def grouped_series_coefficients(
                 reference_coefficient=2 * (1 + 2 * summatory[N]),
             )
         )
-
-    regrouped_terms = [r.term for r in out for _ in range(r.count)]
-    if _sum_terms(regrouped_terms, ctx) != _series_value(spec, classes, ctx).value:
-        raise ValidationError("grouped sum failed to reproduce the direct sum exactly")
     return out
 
 
@@ -439,12 +410,12 @@ def convergence_abscissa_probe(
     for s0 in s_grid:
         s_c = complex(s0)
         terms = [
-            4 * euler_phi(N) * theta_at[N] * _det_power(Fraction(1, N * N), s_c / 2, ctx)
+            4 * euler_phi(N) * theta_at[N] * ctx.rational_power(Fraction(1, N * N), s_c / 2)
             for N in range(1, tops[-1] + 1)
         ]
-        partials = tuple(_sum_terms(terms[:top], ctx) for top in tops)
-        inc1 = _abs(partials[1] - partials[0], ctx)
-        inc2 = _abs(partials[2] - partials[1], ctx)
+        partials = tuple(ctx.fsum_mixed(terms[:top]) for top in tops)
+        inc1 = float(abs(partials[1] - partials[0]))
+        inc2 = float(abs(partials[2] - partials[1]))
         if inc1 == 0.0:
             expo = float("-inf") if inc2 == 0.0 else float("inf")
         elif inc2 == 0.0:

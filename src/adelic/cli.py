@@ -73,7 +73,9 @@ file formats:
       <d*d rationals>
       default          (optional block, identity when absent)
       <d*d rationals>
-  The rank must be n+1 for a bundle on P^n.
+  The rank must be n+1 for a bundle on P^n.  A place must be proven
+  prime; the test is proven below 3.3e24, so a larger place number with
+  no factor up to 37 is refused with exit code 2.
 
 csv columns:
   arakelov          height_sq,point,covolume,phi_value,phi_error,term,term_error
@@ -243,29 +245,11 @@ def _parse_pair(text, name: str) -> tuple[int, int]:
 # -- output formatting -------------------------------------------------
 
 
-def _dps(ctx: Ctx) -> int:
-    return max(17, int(ctx.bits * 0.30103) + 2)
-
-
 def _fmt_exact(q) -> str:
     q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def _decimal_str(z, ctx: Ctx) -> str:
-    if isinstance(z, Fraction):
-        z = ctx.real(z)
-    if isinstance(z, (int, float)):
-        return repr(float(z))
-    if isinstance(z, complex):
-        return repr(z.real) if z.imag == 0.0 else repr(z)
-    import mpmath
-
-    if hasattr(z, "imag") and z.imag == 0:
-        z = z.real
-    return mpmath.nstr(z, _dps(ctx))
 
 
 def _json_number(z):
@@ -288,7 +272,7 @@ def _exact_or_float(h):
 def _series_line(sv, ctx: Ctx) -> str:
     kind = "rigorous" if sv.rigorous else "heuristic"
     return (
-        f"{_decimal_str(sv.value, ctx)} ± {float(sv.error_bound):.3e} "
+        f"{ctx.decimal(sv.value)} ± {float(sv.error_bound):.3e} "
         f"({sv.terms_used} terms, {kind}, {ctx.bits}-bit)"
     )
 
@@ -308,7 +292,7 @@ def _height_lines(h, h_sq, ctx: Ctx) -> list[str]:
         lines.append(_fmt_exact(h))
     else:
         lines.append(f"exact-square: {_fmt_exact(h_sq)}")
-    lines.append(f"decimal: {_decimal_str(h, ctx)} ({ctx.bits}-bit)")
+    lines.append(f"decimal: {ctx.decimal(h)} ({ctx.bits}-bit)")
     return lines
 
 
@@ -431,7 +415,7 @@ def _cmd_arakelov(args, ctx: Ctx):
         for r in rows:
             lines.append(
                 f"{r.height},{r.count},{r.reference_coefficient},"
-                f"{_decimal_str(r.theta_value, ctx)},{_decimal_str(r.term, ctx)}"
+                f"{ctx.decimal(r.theta_value)},{ctx.decimal(r.term)}"
             )
         payload = {
             "degrees": list(degrees),
@@ -453,8 +437,8 @@ def _cmd_arakelov(args, ctx: Ctx):
     for r in rows:
         lines.append(
             f"{_fmt_exact(r.height_sq)},{_point_str(r.point)},{_exact_or_float(r.covolume)},"
-            f"{_decimal_str(r.phi_value, ctx)},{r.phi_error:.3e},"
-            f"{_decimal_str(r.term, ctx)},{r.term_error:.3e}"
+            f"{ctx.decimal(r.phi_value)},{r.phi_error:.3e},"
+            f"{ctx.decimal(r.term)},{r.term_error:.3e}"
         )
     payload = {
         "degrees": list(degrees),
@@ -508,7 +492,7 @@ def _cmd_zeta(args, ctx: Ctx):
     B = _count_bundle(args)
     s = _parse_scalar(args.s, "--s")
     bound = _parse_fraction(args.H, "--H")
-    sv = height_zeta_partial(args.n, B, s, bound, grouped=args.grouped)
+    sv = height_zeta_partial(args.n, B, s, bound)
     payload = {
         "n": args.n,
         "m": args.m,
@@ -867,7 +851,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--arch", choices=("max", "l2"), default="max")
     p.add_argument("--s", required=True, help="exponent (rational or complex)")
     p.add_argument("--H", required=True, help="height cutoff (exact rational)")
-    p.add_argument("--grouped", action="store_true", help="sum height classes instead of single points")
     p.set_defaults(func=_cmd_zeta)
 
     p = sub.add_parser("fit", help="fit theta * H^a * (log H)^(b-1) to a count table")

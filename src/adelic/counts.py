@@ -21,10 +21,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, brief
 from .exact import int_root
 from .heights import ArchKind, MetrizedLineBundle, ProjPoint, height_point_sq
 from .lattice import ENUM_CAP, SeriesValue
+from .numeric import fsum_c
 from .places import mobius
 
 _mobius = functools.lru_cache(maxsize=None)(mobius)
@@ -132,7 +133,7 @@ def enumerate_Pn(n: int, B: MetrizedLineBundle, H_bound, cap: int = ENUM_CAP):
         r = math.isqrt(budget)
     if (2 * r + 1) ** dim > cap:
         raise CapacityError(
-            f"height bound {H_bound} needs a scan over {(2 * r + 1) ** dim} "
+            f"height bound {brief(H_bound)} needs a scan over {brief((2 * r + 1) ** dim)} "
             f"vectors, above the cap of {cap}"
         )
     found = []
@@ -182,7 +183,7 @@ def count_Pn(n: int, B: MetrizedLineBundle, H_bound, cap: int = ENUM_CAP) -> int
     if B.arch is ArchKind.MAX:
         r = int_root(bound, B.m)
         if r > cap:
-            raise CapacityError(f"sieve radius {r} exceeds the cap {cap}")
+            raise CapacityError(f"sieve radius {brief(r)} exceeds the cap {cap}")
         total = 0
         for d in range(1, r + 1):
             mu = _mobius(d)
@@ -191,7 +192,7 @@ def count_Pn(n: int, B: MetrizedLineBundle, H_bound, cap: int = ENUM_CAP) -> int
         return total // 2
     budget = int_root(bound * bound, B.m)
     if math.isqrt(budget) > cap:
-        raise CapacityError(f"sieve radius {math.isqrt(budget)} exceeds the cap {cap}")
+        raise CapacityError(f"sieve radius {brief(math.isqrt(budget))} exceeds the cap {cap}")
     total = 0
     for d in range(1, math.isqrt(budget) + 1):
         mu = _mobius(d)
@@ -229,16 +230,14 @@ def count_table(n: int, B: MetrizedLineBundle, thresholds, method: str = "auto",
     return CountTable(tuple(ts), tuple(counts))
 
 
-def height_zeta_partial(n: int, B: MetrizedLineBundle, s, H_bound,
-                        grouped: bool = False, cap: int = ENUM_CAP) -> SeriesValue:
+def height_zeta_partial(n: int, B: MetrizedLineBundle, s, H_bound, cap: int = ENUM_CAP) -> SeriesValue:
     """Partial height zeta sum over points of height <= H_bound:
     sum of H(x)^(-s) in deterministic enumeration order.
 
-    Each distinct height value is raised to the power once and reused,
-    so regrouping the sum by height (`grouped=True`) feeds the exactly
-    rounded float accumulator the same multiset of terms and returns a
-    bit-identical value.  At s = 0 every term is exactly 1.0 and the
-    value equals the count exactly.
+    Each distinct height value is raised to the power once and reused.
+    The sum is exactly rounded, so it does not depend on the order of
+    the terms.  At s = 0 every term is exactly 1.0 and the value equals
+    the count exactly.
     """
     _check_bundle(n, B)
     z = complex(s)
@@ -257,19 +256,8 @@ def height_zeta_partial(n: int, B: MetrizedLineBundle, s, H_bound,
                 t = complex(h2) ** (-0.5 * z)
             term_for[h2] = t
         terms.append(t)
-    if grouped:
-        by_height = {}
-        for t in terms:
-            by_height[t] = by_height.get(t, 0) + 1
-        terms = [t for t in by_height for _ in range(by_height[t])]
-    if any(isinstance(t, complex) for t in terms):
-        value = complex(math.fsum(t.real for t in terms),
-                        math.fsum(t.imag for t in terms))
-        mag = math.fsum(abs(t) for t in terms)
-    else:
-        value = math.fsum(terms)
-        mag = math.fsum(abs(t) for t in terms)
-    err = 2.0**-48 * mag
+    value = fsum_c(terms) if any(isinstance(t, complex) for t in terms) else math.fsum(terms)
+    err = 2.0**-48 * math.fsum(abs(t) for t in terms)
     return SeriesValue(value=value, error_bound=err, terms_used=len(pts), rigorous=True)
 
 

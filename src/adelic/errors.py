@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 
 class ValidationError(ValueError):
     """Raised when an input violates a documented precondition."""
@@ -33,3 +35,9 @@ class QuadratureError(RuntimeError):
     def __init__(self, message: str, achieved: float = float("nan")):
         super().__init__(message)
         self.achieved = achieved
+
+
+def brief(x) -> str:
+    """``str(x)`` with every run of more than 30 digits replaced by its
+    digit count, so a refusal of a huge request stays one short line."""
+    return re.sub(r"\d{31,}", lambda m: f"<{len(m.group())} digits>", str(x))

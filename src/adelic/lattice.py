@@ -339,7 +339,8 @@ def _theta_1d(c2: Fraction, t: Fraction, eps: float, ctx: Ctx) -> tuple[object, 
         if K > 10**8:
             raise CapacityError("rank-one theta needs too many terms")
     am = ctx.real(Fraction(c2) * Fraction(t)) * ctx.pi
-    value = ctx.fsum([ctx.real(1)] + [2 * ctx.exp(-am * k * k) for k in range(1, K + 1)])
+    exp = ctx.exp
+    value = ctx.fsum([ctx.one] + [2 * exp(-am * k * k) for k in range(1, K + 1)])
     return value, tail(K), K
 
 
@@ -369,7 +370,7 @@ def theta(L: HermitianLattice, t, eps: float = 1e-12, ctx: Ctx = DEFAULT_CTX, ca
                 vals.append(v)
                 tails.append(tl)
                 terms += 2 * k + 1
-            prod = ctx.real(1)
+            prod = ctx.one
             prod_up = 1.0
             for v, tl in zip(vals, tails):
                 prod = prod * v
@@ -390,12 +391,9 @@ def theta(L: HermitianLattice, t, eps: float = 1e-12, ctx: Ctx = DEFAULT_CTX, ca
             raise CapacityError("theta truncation radius diverged")
     tail = _theta_tail_bound(d, tf, R2, lam)
     vecs = _enumerate_scaled(L, Fraction(R2), cap)
-    scale = -math.pi * tf / L._int_scale
-    if ctx.is_float:
-        value = math.fsum(math.exp(scale * q) for _, q in vecs)
-    else:
-        am = ctx.pi * ctx.real(tq) / L._int_scale
-        value = ctx.fsum([ctx.exp(-am * q) for _, q in vecs])
+    scale = -(ctx.pi * ctx.real(tq) / L._int_scale)
+    exp = ctx.exp
+    value = ctx.fsum_iter(exp(scale * q) for _, q in vecs)
     err = tail + _roundoff_allowance(float(value), ctx.bits)
     return SeriesValue(value, err, len(vecs), True)
 
@@ -449,9 +447,13 @@ def _gamma_term_sum(L: HermitianLattice, a: complex, eps_side: float, ctx: Ctx, 
     c = L._int_scale
     terms = []
     for q, mult in sorted(counts.items()):
-        x = math.pi * (q / c) if ctx.is_float else ctx.pi * ctx.real(Fraction(q, c))
-        terms.append(mult * ctx.upper_G(a, x))
+        terms.append(mult * ctx.upper_G(a, ctx.pi * ctx.real(Fraction(q, c))))
     return ctx.fsum_complex(terms), sum(counts.values())
+
+
+def _sqrt_covolume(L: HermitianLattice, ctx: Ctx):
+    """sqrt(vol(L)) = det(G)^(1/4) in the context's real type."""
+    return ctx.power(ctx.real(L.det), ctx.real(Fraction(1, 4)))
 
 
 def completed_lambda(L: HermitianLattice, s, eps: float = 1e-12, ctx: Ctx = DEFAULT_CTX, cap: int = ENUM_CAP) -> SeriesValue:
@@ -481,12 +483,8 @@ def completed_lambda(L: HermitianLattice, s, eps: float = 1e-12, ctx: Ctx = DEFA
     eps2 = eps / (2.0 * max(w2, 1.0))
     sum1, n1 = _gamma_term_sum(L, a1, eps1, ctx, cap)
     sum2, n2 = _gamma_term_sum(Ld, a2, eps2, ctx, cap)
-    if ctx.is_float:
-        sv = sv_f
-        sc = s
-    else:
-        sv = ctx.power(ctx.real(L.det), ctx.real(Fraction(1, 4)))
-        sc = ctx.to_complex(s)
+    sv = _sqrt_covolume(L, ctx)
+    sc = ctx.to_complex(s)
     value = -2 * sv / sc + 2 / (sv * (sc - d)) + sv * sum1 + (1 / sv) * sum2
     err = w1 * eps1 + w2 * eps2 + _roundoff_allowance(abs(complex(value)), ctx.bits)
     return SeriesValue(value, err, n1 + n2, False)
@@ -501,12 +499,8 @@ def lattice_zeta(L: HermitianLattice, s, eps: float = 1e-12, ctx: Ctx = DEFAULT_
     """
     s = complex(s)
     lam = completed_lambda(L, s, eps, ctx, cap)
-    if ctx.is_float:
-        sv = float(L.det) ** 0.25
-        factor = cmath.exp((s / 2.0) * math.log(math.pi)) / (sv * ctx.gamma(s / 2.0))
-    else:
-        sv = ctx.power(ctx.real(L.det), ctx.real(Fraction(1, 4)))
-        factor = ctx.power(ctx.pi, ctx.to_complex(s) / 2) / (sv * ctx.gamma(ctx.to_complex(s) / 2))
+    half_s = ctx.to_complex(s) / 2
+    factor = ctx.pi_power(half_s) / (_sqrt_covolume(L, ctx) * ctx.gamma(half_s))
     value = lam.value * factor
     err = lam.error_bound * abs(complex(factor)) + _roundoff_allowance(abs(complex(value)), ctx.bits)
     return SeriesValue(value, err, lam.terms_used, False)

@@ -154,84 +154,141 @@ def fsum_c(terms) -> complex:
     return complex(math.fsum(re), math.fsum(im))
 
 
+def _float_rational_power(q: Fraction, expo: complex):
+    ln = math.log(q.numerator) - math.log(q.denominator)
+    if expo.imag == 0.0:
+        return math.exp(expo.real * ln)
+    return cmath.exp(expo * ln)
+
+
+def _float_pi_power(z: complex) -> complex:
+    return cmath.exp(z * math.log(math.pi))
+
+
+def _float_fsum_mixed(terms):
+    z = fsum_c(terms)
+    return z.real if z.imag == 0.0 else z
+
+
+def _float_decimal(z) -> str:
+    if isinstance(z, complex):
+        return repr(z.real) if z.imag == 0.0 else repr(z)
+    return repr(float(z))
+
+
 class Ctx:
     """Evaluation context.
 
     ``bits`` is the total floating point format width; 64 selects IEEE
     double (the default engine), anything larger selects mpmath with the
-    working precision set to ``bits`` bits of mantissa.
+    working precision set to ``bits`` bits of mantissa.  The engine is
+    chosen here, once: the attributes below are bound to its functions,
+    so neither the callers nor the methods ask which engine runs.
+
+    - ``real(x)``: exact rational or float to the engine's real type
+    - ``to_complex(z)``: complex to the engine's complex type
+    - ``pi``, ``one``: constants
+    - ``exp(u)``, ``power(b, e)``: elementary functions
+    - ``pi_power(z)``: pi^z for complex z
+    - ``fsum_iter(terms)``: sum of any iterable, consumed as it is
+      produced, for sums too long to hold as a list; the other sums take
+      lists, whose length a tracer can count
+    - ``fsum_mixed(terms)``: sum of real or complex terms; IEEE double
+      gives a float when the imaginary part sums to exactly 0, mpmath a
+      complex value whenever a term is complex
+    - ``decimal(z)``: a value as text, with every digit the engine holds
     """
 
     def __init__(self, bits: int = 64):
         if not isinstance(bits, int) or isinstance(bits, bool) or bits < 64:
             raise ValidationError(f"precision_bits must be an int >= 64, got {bits!r}")
         self.bits = bits
-        self.is_float = bits == 64
-        if not self.is_float:
-            import mpmath
+        if bits == 64:
+            self.real = float
+            self.to_complex = complex
+            self.pi = math.pi
+            self.one = 1.0
+            self.exp = math.exp
+            self.power = pow
+            self.pi_power = _float_pi_power
+            self.fsum_iter = math.fsum
+            self.fsum_mixed = _float_fsum_mixed
+            self.decimal = _float_decimal
+            self._rational_power = _float_rational_power
+            self._fsum = math.fsum
+            self._fsum_complex = fsum_c
+            self._gamma = gamma_complex
+            self._upper_G = upper_G
+            return
 
-            self._mp = mpmath.mp.clone()
-            self._mp.prec = bits
+        import mpmath
 
-    # -- conversions ---------------------------------------------------
+        mp = mpmath.mp.clone()
+        mp.prec = bits
+        dps = max(17, int(bits * 0.30103) + 2)
 
-    def real(self, x):
-        """Exact rational or float input to the context's real type."""
-        if self.is_float:
-            return float(x)
-        if isinstance(x, Fraction):
-            return self._mp.mpf(x.numerator) / self._mp.mpf(x.denominator)
-        return self._mp.mpf(x)
+        def mp_real(x):
+            if isinstance(x, Fraction):
+                return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+            return mp.mpf(x)
 
-    def to_complex(self, z):
-        if self.is_float:
-            return complex(z)
-        return self._mp.mpc(z)
+        def mp_pi_power(z):
+            return mp.power(mp.pi, z)
 
-    # -- elementary ----------------------------------------------------
+        def mp_decimal(z) -> str:
+            if isinstance(z, Fraction):
+                z = mp_real(z)
+            elif isinstance(z, (int, float, complex)):
+                return _float_decimal(z)
+            if z.imag == 0:
+                z = z.real
+            return mp.nstr(z, dps)
 
-    @property
-    def pi(self):
-        return math.pi if self.is_float else self._mp.pi
+        def mp_rational_power(q, expo):
+            return mp.power(mp_real(q), mp.mpc(expo))
 
-    def exp(self, u):
-        return math.exp(u) if self.is_float else self._mp.exp(u)
+        def mp_upper_G(a, x):
+            a = mp.mpc(a)
+            x = mp_real(x)
+            return mp.power(x, -a) * mp.gammainc(a, x, mp.inf)
 
-    def sqrt(self, u):
-        return math.sqrt(u) if self.is_float else self._mp.sqrt(u)
+        self.real = mp_real
+        self.to_complex = mp.mpc
+        self.pi = mp.pi
+        self.one = mp.mpf(1)
+        self.exp = mp.exp
+        self.power = mp.power
+        self.pi_power = mp_pi_power
+        self.fsum_iter = mp.fsum
+        self.fsum_mixed = mp.fsum
+        self.decimal = mp_decimal
+        self._rational_power = mp_rational_power
+        self._fsum = mp.fsum
+        self._fsum_complex = mp.fsum
+        self._gamma = mp.gamma
+        self._upper_G = mp_upper_G
 
-    def power(self, base, expo):
-        if self.is_float:
-            return base**expo
-        return self._mp.power(base, expo)
+    def rational_power(self, q: Fraction, expo: complex):
+        """q^expo for an exact positive rational q; det(L)^(s/2) is the
+        covolume power covol(L)^s."""
+        if expo == 0 or q == 1:
+            return self.one
+        return self._rational_power(q, expo)
 
     def fsum(self, terms):
-        if self.is_float:
-            return math.fsum(terms)
-        return self._mp.fsum(terms)
+        return self._fsum(terms)
 
     def fsum_complex(self, terms):
-        if self.is_float:
-            return fsum_c(terms)
-        return self._mp.fsum(terms, absolute=False)
+        return self._fsum_complex(terms)
 
     # -- special -------------------------------------------------------
 
     def gamma(self, z):
-        if self.is_float:
-            return gamma_complex(z)
-        return self._mp.gamma(z)
+        return self._gamma(z)
 
     def upper_G(self, a, x):
-        """x^(-a) Gamma(a, x); mpmath engine defers to its gammainc."""
-        if self.is_float:
-            return upper_G(a, x)
-        a = self._mp.mpc(a)
-        x = self.real(x)
-        return self._mp.power(x, -a) * self._mp.gammainc(a, x, self._mp.inf)
-
-    def abs(self, z):
-        return abs(z)
+        """x^(-a) Gamma(a, x); the mpmath engine defers to its gammainc."""
+        return self._upper_G(a, x)
 
 
 DEFAULT_CTX = Ctx(64)

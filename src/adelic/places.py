@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 
-from .errors import ValidationError
+from .errors import ValidationError, brief
 from .exact import as_fraction
 
 # Deterministic Miller-Rabin witness set, sound for all n < 3.317e24.
@@ -22,9 +22,10 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 def is_prime(n: int) -> bool:
     """Deterministic primality test.
 
-    Miller-Rabin with a fixed witness set below its proven range, trial
-    division above it (inputs that large do not occur in practice here).
-    The cache matters: place validation re-proves the same small primes
+    Miller-Rabin with a fixed witness set, proven below _MR_LIMIT (about
+    3.3e24).  Above it a number with no factor up to 37 is refused with
+    a ValidationError: no test here is both proven and fast there.  The
+    cache matters: place validation re-proves the same small primes
     constantly.
     """
     if n < 2:
@@ -33,7 +34,7 @@ def is_prime(n: int) -> bool:
         if n % p == 0:
             return n == p
     if n >= _MR_LIMIT:
-        return _trial_division_is_prime(n)
+        raise ValidationError(f"primality of {brief(n)} is not decided: the test is proven only below 3.3e24")
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -49,15 +50,6 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
-
-
-def _trial_division_is_prime(n: int) -> bool:
-    f = 41
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
     return True
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counts import count_table, fit_asymptotics
-from .errors import CapacityError, QuadratureError, ValidationError
+from .errors import CapacityError, QuadratureError, ValidationError, brief
 from .exact import int_root
 from .fibration import HirzebruchSurface
 from .heights import ArchKind, MetrizedLineBundle
@@ -144,8 +144,8 @@ def _quad_panel(f, a, b, epsabs):
     return out[0], abs(out[1])
 
 
-def _box_density_exact(n: int) -> Fraction:
-    """Integral of max(1, |x|_inf)^-(n+1) over R^n, region by region.
+def _box_density_exact(n: int) -> int:
+    """Integral of max(1, |x|_inf)^-(n+1) over R^n, exactly 2^n (n + 1).
 
     Split each coordinate at |x_i| = 1.  On the region where a fixed
     set of k coordinates is large, inverting those coordinates turns
@@ -153,15 +153,10 @@ def _box_density_exact(n: int) -> Fraction:
     2^n sign choices are a constant factor.  Each k contributes exactly
     2^n over its C(n, k) regions, whence the closed value 2^n (n + 1).
     """
-    total = Fraction(0)
-    for k in range(n + 1):
-        per_region = Fraction(2**n) * Fraction(
-            math.factorial(k) * math.factorial(n - k), math.factorial(n))
-        total += math.comb(n, k) * per_region
-    return total
+    return 2**n * (n + 1)
 
 
-def _pn_l2_density(n: int, quad_eps: float, excise):
+def _pn_l2_density(n: int, quad_eps: float):
     # Rotation invariance reduces the chart integral of
     # (1 + |x|^2)^(-(n+1)/2) to a radial one; the sphere area factor is
     # 2 pi^(n/2) / Gamma(n/2).
@@ -170,16 +165,11 @@ def _pn_l2_density(n: int, quad_eps: float, excise):
     def f(r):
         return r ** (n - 1) * (1.0 + r * r) ** (-(n + 1) / 2.0)
 
-    cuts = {0.0, 1.0}
-    if excise is not None:
-        if not float(excise) > 0:
-            raise ValidationError("excised radius must be positive")
-        cuts.add(float(excise))
-    cuts = sorted(cuts)
-    per = quad_eps / (omega * (len(cuts) + 1) * 2.0)
+    cuts = (0.0, 1.0, _INF)
+    per = quad_eps / (omega * len(cuts) * 2.0)
     total = 0.0
     err = 0.0
-    for a, b in zip(cuts, cuts[1:] + [_INF]):
+    for a, b in zip(cuts, cuts[1:]):
         v, e = _quad_panel(f, a, b, per)
         total += v
         err += e
@@ -192,7 +182,7 @@ def _pn_l2_density(n: int, quad_eps: float, excise):
     return value, achieved
 
 
-def _fn_density(surface: HirzebruchSurface, arch: ArchKind, quad_eps: float, excise):
+def _fn_density(surface: HirzebruchSurface, arch: ArchKind, quad_eps: float):
     n = surface.n
     if n >= 3:
         # The fiber-base quadrature misses for n >= 3 while reporting an
@@ -229,15 +219,10 @@ def _fn_density(surface: HirzebruchSurface, arch: ArchKind, quad_eps: float, exc
     def g(u):
         return fiber_integral(u) / base_gauge(u) ** (n + 2)
 
-    cuts = {0.0, 1.0}
-    if excise is not None:
-        if not float(excise) > 0:
-            raise ValidationError("excised base coordinate must be positive")
-        cuts.add(abs(float(excise)))
-    cuts = sorted(cuts)
+    cuts = (0.0, 1.0, _INF)
     total = 0.0
     outer_err = 0.0
-    for a, b in zip(cuts, cuts[1:] + [_INF]):
+    for a, b in zip(cuts, cuts[1:]):
         v, e = _quad_panel(g, a, b, outer_eps)
         total += v
         outer_err += e
@@ -250,34 +235,26 @@ def _fn_density(surface: HirzebruchSurface, arch: ArchKind, quad_eps: float, exc
     return value, achieved
 
 
-def _archimedean_density_err(variety, arch, quad_eps, excise):
+def _archimedean_density_err(variety, arch, quad_eps):
     _check_variety(variety)
     arch = ArchKind.parse(arch)
     if not quad_eps > 0:
         raise ValidationError(f"quadrature tolerance must be positive, got {quad_eps!r}")
     if isinstance(variety, Pn):
         if arch is ArchKind.MAX:
-            # exact; excising a measure-zero locus refines the region
-            # decomposition without changing any region integral
             return float(_box_density_exact(variety.n)), 0.0
-        return _pn_l2_density(variety.n, quad_eps, excise)
-    return _fn_density(variety, arch, quad_eps, excise)
+        return _pn_l2_density(variety.n, quad_eps)
+    return _fn_density(variety, arch, quad_eps)
 
 
-def archimedean_density(variety, arch, quad_eps: float = 1e-9, excise=None) -> float:
+def archimedean_density(variety, arch, quad_eps: float = 1e-9) -> float:
     """Archimedean density of the anticanonical metric.
 
     P^n sup metric: exact piecewise value 2^n (n + 1).  P^n Euclidean:
     adaptive radial quadrature to ``quad_eps``.  Hirzebruch surfaces:
     iterated fiber-base quadrature with the twisted fiber gauge.
-
-    ``excise`` removes a measure-zero closed locus before integrating:
-    the points at reduced coordinate ``excise`` (for P^1 a hyperplane
-    section, for a surface the pair of fibers over u = +-excise, else a
-    sphere).  By design the value can move by at most the quadrature
-    tolerance, and not at all on the exact path.
     """
-    value, _ = _archimedean_density_err(variety, arch, quad_eps, excise)
+    value, _ = _archimedean_density_err(variety, arch, quad_eps)
     return value
 
 
@@ -308,7 +285,7 @@ def tamagawa_number(spec: TamagawaSpec, quad_eps: float = 1e-9) -> TamagawaNumbe
     if not isinstance(spec, TamagawaSpec):
         raise ValidationError(f"expected a TamagawaSpec, got {type(spec).__name__}")
     v = spec.variety
-    mu, qerr = _archimedean_density_err(v, spec.arch, quad_eps, None)
+    mu, qerr = _archimedean_density_err(v, spec.arch, quad_eps)
     lstar = picard_lstar(v, spec.sigma)
     primes = primes_upto(spec.prime_cutoff)
     finite = 1.0
@@ -398,7 +375,7 @@ def peyre_constant_check(n: int, prime_cutoff: int, H_bound,
     if r_max > ENUM_CAP:
         # the count at the top threshold sieves up to r_max and would be
         # refused there; refuse before the smaller thresholds are counted
-        raise CapacityError(f"sieve radius {r_max} exceeds the cap {ENUM_CAP}")
+        raise CapacityError(f"sieve radius {brief(r_max)} exceeds the cap {ENUM_CAP}")
     fracs = (0.01, 0.02, 0.04, 0.08, 0.16, 0.32, 0.5, 0.65, 0.8, 1.0)
     rs = sorted({max(2, round(f * r_max)) for f in fracs})
     anti = MetrizedLineBundle(n, n + 1, arch)

@@ -156,6 +156,20 @@ def test_huge_bound_refused_before_work(argv):
     elapsed = time.perf_counter() - t0
     assert rc == 3 and out == ""
     assert err.startswith("error: capacity:") and err.count("\n") == 1
+    # bound-derived integers print as digit counts past 30 digits
+    assert all(len(line) <= 200 for line in err.splitlines())
+    assert elapsed < 1.0
+
+
+def test_twist_prime_beyond_proven_range_refused(tmp_path):
+    # trial division above the Miller-Rabin range used to run for ages
+    element = tmp_path / "big_place.txt"
+    element.write_text("rank 2\nplace 10000000000000000000000013\n1 0\n0 1\n")
+    t0 = time.perf_counter()
+    rc, out, err = run(["twist", "1", "1", "max", "2", "3", "--element", str(element)])
+    elapsed = time.perf_counter() - t0
+    assert rc == 2 and out == ""
+    assert err.startswith("error: validation:") and err.count("\n") == 1
     assert elapsed < 1.0
 
 

@@ -16,6 +16,7 @@ from adelic.counts import (
 )
 from adelic.errors import CapacityError, ValidationError
 from adelic.heights import ArchKind, MetrizedLineBundle, height_point_sq
+from adelic.numeric import fsum_c
 
 O1_MAX = MetrizedLineBundle(1, 1, ArchKind.MAX)
 O1_L2 = MetrizedLineBundle(1, 1, ArchKind.L2)
@@ -143,15 +144,15 @@ def test_zeta_partial_s0_is_count():
     assert z.value == float(count_Pn(2, P2_L2, 5))
 
 
-def test_zeta_partial_grouped_bit_identical():
-    direct = height_zeta_partial(1, O1_MAX, 2.5, 60)
-    grouped = height_zeta_partial(1, O1_MAX, 2.5, 60, grouped=True)
-    assert direct.value == grouped.value
-    assert direct.terms_used == grouped.terms_used
+def test_zeta_partial_complex_s_matches_per_point_sum():
     s = 1.5 + 0.7j
-    d2 = height_zeta_partial(1, O1_L2, s, 40)
-    g2 = height_zeta_partial(1, O1_L2, s, 40, grouped=True)
-    assert d2.value.real == g2.value.real and d2.value.imag == g2.value.imag
+    z = height_zeta_partial(1, O1_L2, s, 40)
+    pts = enumerate_Pn(1, O1_L2, 40)
+    # one power per point, summed exactly rounded, nothing shared
+    want = fsum_c([complex(height_point_sq(O1_L2, x)) ** (-0.5 * s) for x in pts])
+    assert isinstance(z.value, complex)
+    assert z.value.real == want.real and z.value.imag == want.imag
+    assert z.terms_used == len(pts)
 
 
 def test_zeta_partial_matches_totient_series():

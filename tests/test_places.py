@@ -93,6 +93,11 @@ def test_is_prime():
     assert is_prime(2**31 - 1)
     assert is_prime(10**18 + 9)
     assert not is_prime(10**18 + 7)
+    # the fixed witnesses are proven only below 3.3e24; above that a
+    # number with a small factor is still decided, any other is refused
+    with pytest.raises(ValidationError):
+        is_prime(10**25 + 13)
+    assert not is_prime(10**25 + 14) and not is_prime(3 * 10**30)
 
 
 def test_factorize_and_support():

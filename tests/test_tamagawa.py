@@ -128,22 +128,6 @@ def test_quadrature_failure_reports_achieved():
         archimedean_density(HirzebruchSurface(1), "max", quad_eps=1e-30)
 
 
-def test_excising_measure_zero_locus():
-    eps = 1e-9
-    assert archimedean_density(P1, "max", excise=0.7) == 4.0
-    base = archimedean_density(P1, "l2", quad_eps=eps)
-    assert abs(archimedean_density(P1, "l2", quad_eps=eps, excise=0.7) - base) < eps
-    base = archimedean_density(P2, "l2", quad_eps=eps)
-    assert abs(archimedean_density(P2, "l2", quad_eps=eps, excise=1.5) - base) < eps
-    for arch in ("max", "l2"):
-        F = HirzebruchSurface(1)
-        base = archimedean_density(F, arch, quad_eps=eps)
-        cut = archimedean_density(F, arch, quad_eps=eps, excise=0.5)
-        assert abs(cut - base) < eps
-    with pytest.raises(ValidationError):
-        archimedean_density(P1, "l2", excise=-1.0)
-
-
 def test_tamagawa_p1_max_value():
     tau = tamagawa_number(TamagawaSpec(P1, ArchKind.MAX, 10**5))
     target = 24.0 / math.pi**2
