@@ -65,12 +65,13 @@ def _eliminate(rows, invert: bool):
     """Gaussian elimination of a square matrix over Fraction, taking the
     first nonzero entry of each column as pivot.
 
-    Returns (det, minors, inverse).  Until the first row exchange the
+    Returns (det, minors, reduced).  Until the first row exchange the
     running product of pivots is the k-th leading principal minor, and an
     exchange is needed exactly where one of them vanishes, so ``minors``
     holds the leading minors up to and including the first zero one.
-    ``inverse`` comes from reducing [A | I] to [I | A^(-1)]; it is None
-    unless ``invert`` is set and det != 0.
+    ``reduced`` is None when det == 0, else [I | A^(-1)] from reducing
+    [A | I] with ``invert`` set, and otherwise A with row k's first k
+    columns eliminated (U in A = L U when no exchange was needed).
     """
     n = len(rows)
     a = [[as_fraction(v) for v in r] for r in rows]
@@ -97,7 +98,7 @@ def _eliminate(rows, invert: bool):
             if i != k and a[i][k] != 0:
                 f = a[i][k] / a[k][k]
                 a[i] = [vi - f * vk for vi, vk in zip(a[i], a[k])]
-    return d, minors, tuple(tuple(r[n:]) for r in a) if invert else None
+    return d, minors, a
 
 
 def det(rows) -> Fraction:
@@ -105,18 +106,18 @@ def det(rows) -> Fraction:
 
 
 def inverse(rows) -> Matrix:
-    d, _, inv = _eliminate(rows, True)
+    d, _, reduced = _eliminate(rows, True)
     if d == 0:
         raise ValidationError("matrix is singular")
-    return inv
+    n = len(reduced)
+    return tuple(tuple(r[n:]) for r in reduced)
 
 
-def leading_minors(rows) -> list[Fraction]:
-    """Determinants of the leading principal k x k blocks, k = 1..n.
-
-    One elimination gives them up to the first zero one (all of them for
-    a positive definite matrix); any later ones are the determinants of
-    their blocks.
-    """
-    minors = _eliminate(rows, False)[1]
-    return minors + [det([r[:k] for r in rows[:k]]) for k in range(len(minors) + 1, len(rows) + 1)]
+def pivot_rows(rows) -> tuple[list[Fraction], list | None]:
+    """Leading principal minors and the rows of U in rows = L U (L unit
+    lower triangular) from one elimination; row k has the pivot
+    minors[k] / minors[k - 1] (minors[0] for k = 0).  If a leading minor
+    vanishes, ``minors`` stops at the first zero one and the rows mean
+    nothing."""
+    _, minors, reduced = _eliminate(rows, False)
+    return minors, reduced

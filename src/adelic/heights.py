@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import SectionZeroError, ValidationError
 from .exact import as_fraction, sqrt_or_float
-from .lattice import HermitianLattice, direct_sum
+from .lattice import HermitianLattice
 from .places import INF, Place, abs_v, content, support
 
 
@@ -259,13 +259,11 @@ def restrict_to_point(B: MetrizedLineBundle, x: ProjPoint) -> HermitianLattice:
 
 
 def restrict_bundle_sum(degrees, x: ProjPoint, arch) -> HermitianLattice:
-    """Direct sum of the restrictions of O(m) over m in ``degrees``."""
+    """Direct sum of the restrictions of O(m) over m in ``degrees``: the
+    diagonal lattice with entries H(x)^(-2m)."""
     arch = ArchKind.parse(arch)
     degrees = list(degrees)
     if not degrees:
         raise ValidationError("need at least one bundle degree")
-    parts = [restrict_to_point(MetrizedLineBundle(x.n, int(m), arch), x) for m in degrees]
-    out = parts[0]
-    for p in parts[1:]:
-        out = direct_sum(out, p)
-    return out
+    h2 = _gauge_sq_arch(x.coords, arch)
+    return HermitianLattice.diagonal([h2 ** -int(m) for m in degrees])

@@ -28,11 +28,13 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import CapacityError, PoleError, ValidationError
-from .exact import as_fraction, identity, inverse, is_diagonal, leading_minors, sqrt_or_float
+from .exact import as_fraction, identity, inverse, is_diagonal, pivot_rows, sqrt_or_float
 from .numeric import Ctx, DEFAULT_CTX, fsum_c
 
 ENUM_CAP = 5_000_000
@@ -76,7 +78,7 @@ class TransformDefect:
 class HermitianLattice:
     """Z^d with an exact symmetric positive definite Gram matrix."""
 
-    __slots__ = ("gram", "rank", "_det", "_int_gram", "_int_scale", "_inv")
+    __slots__ = ("gram", "rank", "_det", "_int_gram", "_int_scale", "_int_minors", "_int_pivots", "_inv")
 
     def __init__(self, gram):
         rows = [tuple(as_fraction(v) for v in row) for row in gram]
@@ -90,7 +92,7 @@ class HermitianLattice:
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise ValidationError("Gram matrix must be symmetric")
-        minors = leading_minors(rows)
+        minors, upper = pivot_rows(rows)
         if any(m <= 0 for m in minors):
             raise ValidationError("Gram matrix must be positive definite")
         self.gram = tuple(rows)
@@ -102,6 +104,15 @@ class HermitianLattice:
                 scale = scale * v.denominator // math.gcd(scale, v.denominator)
         self._int_scale = scale
         self._int_gram = tuple(tuple(int(v * scale) for v in row) for row in rows)
+        # Fincke-Pohst data of the integer Gram A = c G: its leading minors
+        # D_k = c^k det(G_k) (D_0 = 1), and row k of A after fraction-free
+        # elimination of its first k columns, c D_k upper[k], past the
+        # diagonal entry (which is D_(k+1)).
+        D = (1, *(m.numerator * scale ** (k + 1) // m.denominator for k, m in enumerate(minors)))
+        self._int_minors = D
+        self._int_pivots = tuple(
+            tuple(scale * D[k] * v.numerator // v.denominator for v in upper[k][k + 1 :]) for k in range(d)
+        )
         self._inv = None
 
     @classmethod
@@ -185,82 +196,71 @@ def direct_sum(L1: HermitianLattice, L2: HermitianLattice) -> HermitianLattice:
 # -- enumeration -------------------------------------------------------
 
 
-def _cholesky_upper(gram) -> list[list[float]]:
-    d = len(gram)
-    g = [[float(v) for v in row] for row in gram]
-    r = [[0.0] * d for _ in range(d)]
-    for i in range(d):
-        s = g[i][i] - sum(r[k][i] * r[k][i] for k in range(i))
-        if s <= 0:
-            raise ValidationError("Gram matrix is numerically indefinite")
-        r[i][i] = math.sqrt(s)
-        for j in range(i + 1, d):
-            r[i][j] = (g[i][j] - sum(r[k][i] * r[k][j] for k in range(i))) / r[i][i]
-    return r
-
-
 def _enumerate_scaled(L: HermitianLattice, R2: Fraction, cap: int = ENUM_CAP):
-    """All integer vectors with x^T G x <= R2, with exact membership.
+    """All integer vectors with x^T G x <= R2, by exact integer
+    Fincke-Pohst.
 
     Returns an unsorted list of (vector tuple, scaled norm) where the
-    scaled norm is the integer x^T (c G) x, c the common denominator of G.
-    Candidates come from a floating Fincke-Pohst sweep with a widened
-    radius; the exact integer comparison then decides membership, so the
-    result is independent of rounding.  The exact scaled norm is carried
-    down the levels: a node at level i knows the integer norm q_above of
-    the coordinates above it and 2 sum_{b>i} g_ib x_b, so each candidate
-    x_i costs O(1) integer work, x_i (g_ii x_i + lin2) + q_above.
+    scaled norm is the integer q(x) = x^T A x, A = c G, c the common
+    denominator of G; the order is that of nested loops over x_(d-1)
+    (outermost) down to x_0, each ascending.
+
+    With D_k the leading minors of A and B_k its pivot rows (see
+    ``HermitianLattice``), fixing x_i..x_(d-1) and minimising q over the
+    real x_0..x_(i-1) leaves P_i / D_i, where
+
+        P_i D_(i+1) = (D_(i+1) x_i + lin_i)^2 + D_i P_(i+1),   P_d = 0,
+
+    and lin_i = B_i . x over the fixed coordinates above i.  Each P_i is
+    an integer, P_i = x_i (D_(i+1) x_i + 2 lin_i) + P_i(x_i = 0), and x_i
+    has a real extension with q <= T = floor(c R2) exactly when
+    (D_(i+1) x_i + lin_i)^2 <= D_i (D_(i+1) T - P_(i+1)): one isqrt per
+    node.  At level 0, P_0 = q(x) and that range is exactly the ball's
+    row, so no vector needs a membership test.  The rows are collected
+    before any vector is built: ``cap`` bounds the vectors kept, and also
+    the partial vectors visited at levels >= 1, which a skewed basis can
+    make far more numerous.
     """
     if R2 < 0:
         raise ValidationError("radius must be nonnegative")
-    d = L.rank
-    r = _cholesky_upper(L.gram)
-    R2f = float(R2) * (1.0 + 1e-9) + 1e-9
-    c = L._int_scale
-    thr_num = (R2 * c).numerator
-    thr_den = (R2 * c).denominator
-    g_int = L._int_gram
-    out: list[tuple[tuple[int, ...], int]] = []
-    x = [0] * d
+    D, B = L._int_minors, L._int_pivots
+    thr = math.floor(R2 * L._int_scale)
+    nodes = [((), 0)]  # ((x_(i+1), ..., x_(d-1)), P_(i+1)) in output order
+    visited = 0
+    for i in reversed(range(L.rank)):
+        piv, low = D[i + 1], D[i]
+        rows = []  # (lo, hi, 2 lin_i, P_i at x_i = 0, coordinates above i)
+        for above, P in nodes:
+            room = piv * thr - P
+            if room >= 0:
+                lin = sum(map(mul, B[i], above))
+                r = math.isqrt(low * room)
+                lo, hi = -((r + lin) // piv), (r - lin) // piv
+                rows.append((lo, hi, 2 * lin, (lin * lin + low * P) // piv, above))
+        width = sum(hi - lo + 1 for lo, hi, *_ in rows)
+        if i:
+            visited += width
+            if visited > cap:
+                raise CapacityError(f"enumeration visits more than {cap} partial vectors")
+        elif width > cap:
+            raise CapacityError(f"enumeration exceeds cap of {cap} vectors")
+        nodes = [
+            ((xi,) + above, xi * (piv * xi + lin2) + P0) for lo, hi, lin2, P0, above in rows for xi in range(lo, hi + 1)
+        ]
+    return nodes
 
-    def level(i: int, norm_above: float, q_above: int) -> None:
-        s_i = 0.0
-        row = r[i]
-        for j in range(i + 1, d):
-            s_i += row[j] * x[j]
-        rem = R2f - norm_above
-        if rem < 0:
-            return
-        ci = -s_i / row[i]
-        hw = math.sqrt(rem) / row[i] + 1e-9 * (1.0 + abs(ci))
-        lo = math.ceil(ci - hw)
-        hi = math.floor(ci + hw)
-        gi = g_int[i]
-        gii = gi[i]
-        lin2 = 2 * sum(gi[b] * x[b] for b in range(i + 1, d))
-        if i == 0:
-            for xi in range(lo, hi + 1):
-                q = xi * (gii * xi + lin2) + q_above
-                if q * thr_den <= thr_num:
-                    if len(out) >= cap:
-                        raise CapacityError(f"enumeration exceeds cap of {cap} vectors")
-                    x[0] = xi
-                    out.append((tuple(x), q))
-            x[0] = 0
-            return
-        for xi in range(lo, hi + 1):
-            x[i] = xi
-            u = row[i] * xi + s_i
-            level(i - 1, norm_above + u * u, xi * (gii * xi + lin2) + q_above)
-        x[i] = 0
 
-    level(d - 1, 0.0, 0)
-    return out
+def _norm_multiplicities(vecs) -> list[tuple[int, int]]:
+    """(q, number of vectors of scaled norm q) over the nonzero norms of
+    an enumeration, ascending in q."""
+    return sorted(Counter(q for _, q in vecs if q).items())
 
 
 def enumerate_vectors(L: HermitianLattice, R, cap: int = ENUM_CAP) -> list[tuple[int, ...]]:
     """Integer vectors with |x|^2 <= R^2, zero included, in lexicographic
-    order.  Raises CapacityError when more than ``cap`` vectors qualify."""
+    order.  Raises CapacityError when more than ``cap`` vectors qualify,
+    or when the enumeration would visit more than ``cap`` partial vectors
+    (coordinates above the innermost one), before building any vector."""
     Rq = as_fraction(R)
     if Rq < 0:
         raise ValidationError("radius must be nonnegative")
@@ -439,16 +439,10 @@ def _gamma_term_sum(L: HermitianLattice, a: complex, eps_side: float, ctx: Ctx, 
     d = L.rank
     lam = float(_lambda_min_lower(L))
     R2 = _lambda_radius(d, a.real, eps_side, lam)
-    vecs = _enumerate_scaled(L, Fraction(R2), cap)
-    counts: dict[int, int] = {}
-    for _, q in vecs:
-        if q:
-            counts[q] = counts.get(q, 0) + 1
+    norms = _norm_multiplicities(_enumerate_scaled(L, Fraction(R2), cap))
     c = L._int_scale
-    terms = []
-    for q, mult in sorted(counts.items()):
-        terms.append(mult * ctx.upper_G(a, ctx.pi * ctx.real(Fraction(q, c))))
-    return ctx.fsum_complex(terms), sum(counts.values())
+    terms = [mult * ctx.upper_G(a, ctx.pi * ctx.real(Fraction(q, c))) for q, mult in norms]
+    return ctx.fsum_complex(terms), sum(mult for _, mult in norms)
 
 
 def _sqrt_covolume(L: HermitianLattice, ctx: Ctx):
@@ -523,16 +517,11 @@ def zeta_direct_truncated(
     Rq = as_fraction(radius)
     if Rq <= 0:
         raise ValidationError("radius must be positive")
-    vecs = _enumerate_scaled(L, Rq * Rq, cap)
+    norms = _norm_multiplicities(_enumerate_scaled(L, Rq * Rq, cap))
     c = L._int_scale
-    counts: dict[int, int] = {}
-    for _, q in vecs:
-        if q:
-            counts[q] = counts.get(q, 0) + 1
     half = -s / 2.0
-    terms = [mult * cmath.exp(half * math.log(q / c)) for q, mult in sorted(counts.items())]
-    value = fsum_c(terms)
-    nterms = sum(counts.values())
+    value = fsum_c([mult * cmath.exp(half * math.log(q / c)) for q, mult in norms])
+    nterms = sum(mult for _, mult in norms)
     Rf = float(Rq)
     surf = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
     tail_size = (surf / math.sqrt(float(L.det))) * Rf ** (d - s.real) / (s.real - d)

@@ -10,12 +10,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 
-from .errors import ValidationError, brief
+from .errors import CapacityError, ValidationError, brief
 from .exact import as_fraction
 
 # Deterministic Miller-Rabin witness set, sound for all n < 3.317e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
+_TRIAL_DIVISION_LIMIT = 1 << 20
 
 
 @lru_cache(maxsize=65536)
@@ -145,7 +146,13 @@ def abs_v(x, v: Place) -> Fraction:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorisation of a positive integer as {p: exponent}."""
+    """Prime factorisation of a positive integer as {p: exponent}.
+
+    Trial division stops at 2^20, so every n < 2^40 factors completely.
+    A larger cofactor with no factor below 2^20 is kept when ``is_prime``
+    proves it prime; a composite one raises CapacityError, and one past
+    the proven range the ValidationError of ``is_prime``.
+    """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValidationError(f"factorize needs a positive int, got {n!r}")
     out: dict[int, int] = {}
@@ -158,6 +165,10 @@ def factorize(n: int) -> dict[int, int]:
     steps = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
     while f * f <= n:
+        if f > _TRIAL_DIVISION_LIMIT:
+            if not is_prime(n):
+                raise CapacityError(f"cannot factor {brief(n)}: composite, with no prime factor below 2^20")
+            break
         while n % f == 0:
             out[f] = out.get(f, 0) + 1
             n //= f

@@ -152,10 +152,6 @@ def twisted_metric_norm_sq(B: MetrizedLineBundle, s: Section, x: ProjPoint, g: A
     return (a * a) / _gauge_sq(image, v, B.arch) ** B.m
 
 
-def twisted_metric_norm(B: MetrizedLineBundle, s: Section, x: ProjPoint, g: AdelicGroupElement, v: Place):
-    return sqrt_or_float(twisted_metric_norm_sq(B, s, x, g, v))
-
-
 def compare_twisted(B: MetrizedLineBundle, s: Section, x: ProjPoint, g: AdelicGroupElement):
     """For a diagonal twist and a monomial section, return the pair
     (twisted-metric height, character-corrected translated height).

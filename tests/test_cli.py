@@ -162,15 +162,21 @@ def test_huge_bound_refused_before_work(argv):
 
 
 def test_twist_prime_beyond_proven_range_refused(tmp_path):
-    # trial division above the Miller-Rabin range used to run for ages
-    element = tmp_path / "big_place.txt"
-    element.write_text("rank 2\nplace 10000000000000000000000013\n1 0\n0 1\n")
-    t0 = time.perf_counter()
-    rc, out, err = run(["twist", "1", "1", "max", "2", "3", "--element", str(element)])
-    elapsed = time.perf_counter() - t0
-    assert rc == 2 and out == ""
-    assert err.startswith("error: validation:") and err.count("\n") == 1
-    assert elapsed < 1.0
+    element = tmp_path / "element.txt"
+    for element_text, point in (
+        # a place above the Miller-Rabin range
+        ("rank 2\nplace 10000000000000000000000013\n1 0\n0 1\n", ["2", "3"]),
+        # a point coordinate above it with no factor below 2^20, which
+        # --compare factors
+        ("rank 2\nplace 3\n1 0\n0 3\n", ["1000000000000000000000000000057", "1", "--compare"]),
+    ):
+        element.write_text(element_text)
+        t0 = time.perf_counter()
+        rc, out, err = run(["twist", "1", "1", "max", *point, "--element", str(element)])
+        elapsed = time.perf_counter() - t0
+        assert rc == 2 and out == ""
+        assert err.startswith("error: validation:") and err.count("\n") == 1
+        assert elapsed < 1.0
 
 
 def test_tamagawa_surface_beyond_two_refused():
@@ -272,6 +278,31 @@ def test_lattice_check_fe():
     assert rc == 0
     lines = out.splitlines()
     assert lines[2] == "within: true"
+
+
+SHEARED_Z2 = "rank 2\n1 100000000\n100000000 10000000000000001\n"
+
+
+def test_lattice_theta_sheared_basis(tmp_path):
+    # in floating point the entries 1e8 and 1e16 + 1 lose the determinant 1
+    gram = tmp_path / "sheared.txt"
+    gram.write_text(SHEARED_Z2)
+    rc, out, err = run(["lattice", "theta", "--gram", str(gram), "--t", "1"])
+    assert rc == 0 and err == ""
+    assert out.split()[0] == "1.1803405990160962"
+
+
+def test_lattice_check_fe_skewed_dual_refused_promptly(tmp_path):
+    # the dual ball at t = 3 has few vectors but about 8e8 partial vectors
+    # on its top level, so the partial-vector bound refuses it up front
+    gram = tmp_path / "sheared.txt"
+    gram.write_text(SHEARED_Z2)
+    t0 = time.perf_counter()
+    rc, out, err = run(["lattice", "check-fe", "--gram", str(gram), "--t", "1/3"])
+    elapsed = time.perf_counter() - t0
+    assert rc == 3 and out == ""
+    assert err.startswith("error: capacity:") and err.count("\n") == 1
+    assert elapsed < 1.0
 
 
 def test_arakelov_table_and_probes():

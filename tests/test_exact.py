@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from adelic.errors import ValidationError
-from adelic.exact import as_fraction, det, identity, int_root, inverse, is_diagonal, leading_minors, sqrt_or_float
+from adelic.exact import as_fraction, det, identity, int_root, inverse, is_diagonal, pivot_rows, sqrt_or_float
 from adelic.lattice import HermitianLattice
 
 
@@ -37,7 +37,19 @@ def test_elimination_against_cofactor_expansion():
         m = random_matrix(rng, n)
         d = det(m)
         assert d == cofactor_det(m)
-        assert leading_minors(m) == [cofactor_det([r[:k] for r in m[:k]]) for k in range(1, n + 1)]
+        minors = [cofactor_det([r[:k] for r in m[:k]]) for k in range(1, n + 1)]
+        got_minors, upper = pivot_rows(m)
+        # the minors up to and including the first zero one
+        first_zero = minors.index(0) + 1 if 0 in minors else n
+        assert got_minors == minors[:first_zero]
+        if all(minors):
+            # Sylvester: after k eliminations, entry (k, j) is the minor on
+            # rows 0..k and columns 0..k-1, j over the k-th leading minor
+            below = [Fraction(1)] + minors
+            for k in range(n):
+                for j in range(n):
+                    sub = [[r[c] for c in (*range(k), j)] for r in m[: k + 1]]
+                    assert upper[k][j] * below[k] == (cofactor_det(sub) if j >= k else 0)
         if d == 0:
             singular += 1
             with pytest.raises(ValidationError):
@@ -51,7 +63,7 @@ def test_elimination_against_cofactor_expansion():
 
 def test_indefinite_gram_rejected():
     for g in ([[0, 1], [1, 0]], [[1, 2], [2, 1]], [[1, 0], [0, -1]], [[0]], [[1, 1], [1, 1]], [[2, 0, 1], [0, 0, 0], [1, 0, 2]]):
-        assert any(v <= 0 for v in leading_minors(g))
+        assert any(v <= 0 for v in pivot_rows(g)[0])
         with pytest.raises(ValidationError, match="positive definite"):
             HermitianLattice(g)
     L = HermitianLattice([[2, 1], [1, 2]])

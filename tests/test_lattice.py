@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -25,6 +26,7 @@ from helpers import random_lattice
 
 Z1 = HermitianLattice.identity(1)
 Z2 = HermitianLattice.identity(2)
+SHEARED = HermitianLattice([[1, 10**8], [10**8, 10**16 + 1]])  # a basis of Z^2
 
 
 # -- construction and exact structure ---------------------------------
@@ -150,6 +152,53 @@ def test_enumerate_scaled_norms_against_box_scan():
         for v, q in got:
             assert q == L._int_norm(v)
         assert on_sphere in got_vecs and tuple(-v for v in on_sphere) in got_vecs
+        # the cap admits a ball of exactly cap vectors and refuses one more
+        assert _enumerate_scaled(L, R2, cap=len(got)) == got
+        with pytest.raises(CapacityError):
+            _enumerate_scaled(L, R2, cap=len(got) - 1)
+
+
+def test_integer_pivots_reproduce_norms():
+    """x^T (c G) x = sum_k (D_(k+1) x_k + B_k . x_above)^2 / (D_k D_(k+1))
+    for the stored integer minors D and pivot rows B."""
+    rng = random.Random(79)
+    lattices = [random_lattice(rng, rng.randint(1, 4)) for _ in range(20)]
+    lattices += [SHEARED, HermitianLattice([[10**400, 1], [1, 1]])]
+    for L in lattices:
+        D, B = L._int_minors, L._int_pivots
+        assert D[0] == 1 and D[-1] == L.det * L._int_scale**L.rank
+        for _ in range(10):
+            x = [rng.randint(-5, 5) for _ in range(L.rank)]
+            total = sum(
+                Fraction((D[k + 1] * x[k] + sum(b * v for b, v in zip(B[k], x[k + 1 :]))) ** 2, D[k] * D[k + 1])
+                for k in range(L.rank)
+            )
+            assert total == L._int_norm(x)
+
+
+def test_enumerate_sheared_basis():
+    assert enumerate_vectors(SHEARED, 1) == [(-(10**8), 1), (-1, 0), (0, 0), (1, 0), (10**8, -1)]
+
+
+def test_enumerate_huge_gram_entry():
+    L = HermitianLattice([[10**400, 1], [1, 1]])
+    assert _enumerate_scaled(L, Fraction(1)) == [((0, -1), 1), ((0, 0), 0), ((0, 1), 1)]
+
+
+def test_enumerate_partial_vectors_bounded_by_cap():
+    # the dual of the sheared basis is Z^2 again, but its last coordinate
+    # ranges over about 2e8 values for R^2 = 1, nearly all of them with an
+    # empty row below
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError, match="partial vectors"):
+        _enumerate_scaled(dual(SHEARED), Fraction(1))
+    assert time.perf_counter() - t0 < 1.0
+    # with a milder shear the five vectors come out, but 2001 partial
+    # vectors are visited, so a cap between the two refuses the ball
+    L = HermitianLattice([[1 + 10**6, 10**3], [10**3, 1]])
+    assert len(_enumerate_scaled(L, Fraction(1), cap=2001)) == 5
+    with pytest.raises(CapacityError, match="partial vectors"):
+        _enumerate_scaled(L, Fraction(1), cap=2000)
 
 
 def test_enumerate_membership_is_exact():
@@ -166,6 +215,11 @@ def test_theta_z_frozen_value():
     assert t.rigorous
     assert abs(float(t.value) - 1.0864348112) < 5e-11
     assert t.error_bound < 1e-12
+
+
+def test_theta_sheared_basis_equals_z2():
+    a, b = theta(SHEARED, 1), theta(Z2, 1)
+    assert abs(float(a.value) - float(b.value)) <= a.error_bound + b.error_bound
 
 
 def test_theta_large_t():

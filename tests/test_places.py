@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from adelic.errors import ValidationError
+from adelic.errors import CapacityError, ValidationError
 from adelic.places import (
     INF,
     Place,
@@ -113,6 +113,17 @@ def test_factorize_and_support():
             assert is_prime(p)
             prod *= p**e
         assert prod == n
+
+
+def test_factorize_beyond_trial_division():
+    # below 2^40 trial division to 2^20 factors completely
+    assert factorize(1048571 * 1048573) == {1048571: 1, 1048573: 1}
+    # a larger cofactor with no factor below 2^20 must be a proven prime
+    assert factorize(8 * 1000000000000000003) == {2: 3, 1000000000000000003: 1}
+    with pytest.raises(CapacityError, match="composite"):
+        factorize(3 * 1048583 * 1048589)
+    with pytest.raises(ValidationError, match="not decided"):
+        factorize(1000000000000000000000000000057)
 
 
 def test_euler_phi():
