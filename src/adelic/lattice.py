@@ -231,12 +231,10 @@ def _enumerate_scaled(L: HermitianLattice, R2: Fraction, cap: int = ENUM_CAP):
         piv, low = D[i + 1], D[i]
         rows = []  # (lo, hi, 2 lin_i, P_i at x_i = 0, coordinates above i)
         for above, P in nodes:
-            room = piv * thr - P
-            if room >= 0:
-                lin = sum(map(mul, B[i], above))
-                r = math.isqrt(low * room)
-                lo, hi = -((r + lin) // piv), (r - lin) // piv
-                rows.append((lo, hi, 2 * lin, (lin * lin + low * P) // piv, above))
+            lin = sum(map(mul, B[i], above))
+            r = math.isqrt(low * (piv * thr - P))
+            lo, hi = -((r + lin) // piv), (r - lin) // piv
+            rows.append((lo, hi, 2 * lin, (lin * lin + low * P) // piv, above))
         width = sum(hi - lo + 1 for lo, hi, *_ in rows)
         if i:
             visited += width

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, total_ordering
+from itertools import count
+from math import gcd
 
 from .errors import CapacityError, ValidationError, brief
 from .exact import as_fraction
@@ -17,6 +19,10 @@ from .exact import as_fraction
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 _TRIAL_DIVISION_LIMIT = 1 << 20
+# A composite below _MR_LIMIT with no factor under 2^20 has one under 2^41;
+# rho took at most 2^22 steps on 60 such semiprimes.  Past _MR_LIMIT it probes.
+_RHO_STEPS = 1 << 23
+_RHO_PROBE_STEPS = 1 << 16
 
 
 @lru_cache(maxsize=65536)
@@ -145,13 +151,41 @@ def abs_v(x, v: Place) -> Fraction:
     return Fraction(v.p ** (-e))
 
 
+def _rho_factor(n: int) -> int:
+    """A proper factor of the odd n (no factor below 2^20, composite if
+    below _MR_LIMIT) by Brent's variant of Pollard rho with one gcd per 128
+    steps; a gcd of n (all factors met in one batch) retries with c + 1."""
+    budget = _RHO_STEPS if n < _MR_LIMIT else _RHO_PROBE_STEPS
+    steps = 0
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            steps += 2 * r
+            if steps > budget:
+                if n < _MR_LIMIT:
+                    raise CapacityError(f"cannot factor {brief(n)} within {budget} rho steps")
+                raise ValidationError(f"factors of {brief(n)} are not decided past 3.3e24 within {budget} rho steps")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorisation of a positive integer as {p: exponent}.
 
-    Trial division stops at 2^20, so every n < 2^40 factors completely.
-    A larger cofactor with no factor below 2^20 is kept when ``is_prime``
-    proves it prime; a composite one raises CapacityError, and one past
-    the proven range the ValidationError of ``is_prime``.
+    Trial division runs to 2^20, then Pollard rho splits the cofactor into
+    parts that ``is_prime`` proves prime.  A part rho cannot split within its
+    budget raises CapacityError, or ValidationError past 3.3e24.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValidationError(f"factorize needs a positive int, got {n!r}")
@@ -164,18 +198,21 @@ def factorize(n: int) -> dict[int, int]:
     # candidates coprime to 30, the classic 8-step wheel
     steps = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    while f * f <= n:
-        if f > _TRIAL_DIVISION_LIMIT:
-            if not is_prime(n):
-                raise CapacityError(f"cannot factor {brief(n)}: composite, with no prime factor below 2^20")
-            break
+    while f * f <= n and f <= _TRIAL_DIVISION_LIMIT:
         while n % f == 0:
             out[f] = out.get(f, 0) + 1
             n //= f
         f += steps[i]
         i = (i + 1) & 7
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    # every prime factor left is at least f, so a part below f^2 is prime
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if m < f * f or m < _MR_LIMIT and is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _rho_factor(m)
+            parts += [d, m // d]
     return dict(sorted(out.items()))
 
 

@@ -92,6 +92,12 @@ def test_twist_element_file(tmp_path):
     lines = out.splitlines()
     assert lines[0] == "lhs: 20" and lines[1] == "rhs: 20" and lines[2] == "equal: true"
 
+    # the section value 1048583^2 has no prime factor below 2^20
+    argv = ["twist", "1", "2", "max", "1048583", "1", "--element", str(path), "--compare", "--section", "2,0"]
+    rc, out, _ = run(argv)
+    assert rc == 0
+    assert out.splitlines() == ["lhs: 109952630788900", "rhs: 109952630788900", "equal: true"]
+
     ident = tmp_path / "id.txt"
     ident.write_text("rank 2\n")
     rc, out, _ = run(["twist", "1", "1", "max", "2", "3", "--element", str(ident)])

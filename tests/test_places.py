@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from adelic import places
 from adelic.errors import CapacityError, ValidationError
 from adelic.places import (
     INF,
@@ -115,15 +116,23 @@ def test_factorize_and_support():
         assert prod == n
 
 
-def test_factorize_beyond_trial_division():
+def test_factorize_beyond_trial_division(monkeypatch):
     # below 2^40 trial division to 2^20 factors completely
     assert factorize(1048571 * 1048573) == {1048571: 1, 1048573: 1}
-    # a larger cofactor with no factor below 2^20 must be a proven prime
+    # a larger cofactor is a proven prime or split by rho into them
     assert factorize(8 * 1000000000000000003) == {2: 3, 1000000000000000003: 1}
-    with pytest.raises(CapacityError, match="composite"):
-        factorize(3 * 1048583 * 1048589)
+    assert factorize(3 * 1048583 * 1048589) == {3: 1, 1048583: 1, 1048589: 1}
+    assert factorize(1048583**2) == {1048583: 2}
+    # past the proven primality range rho still finds factors near 2^20
+    assert factorize(1048583**3 * 1073741827) == {1048583: 3, 1073741827: 1}
+    semiprime = 1000000000039 * 1000000000061
+    assert factorize(semiprime) == {1000000000039: 1, 1000000000061: 1}
     with pytest.raises(ValidationError, match="not decided"):
         factorize(1000000000000000000000000000057)
+    # rho has a fixed step budget; past it the number is refused
+    monkeypatch.setattr(places, "_RHO_STEPS", 1000)
+    with pytest.raises(CapacityError, match="rho steps"):
+        factorize(semiprime)
 
 
 def test_euler_phi():
