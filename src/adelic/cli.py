@@ -27,7 +27,7 @@ from .arakelov import (
     theta_duality_defect,
 )
 from .counts import count_Pn, count_table, enumerate_Pn, fit_asymptotics, height_zeta_partial, render_count_csv
-from .errors import CapacityError, PoleError, QuadratureError, SectionZeroError, ValidationError
+from .errors import CapacityError, QuadratureError, ValidationError
 from .fibration import (
     FibrationLineClass,
     FnPoint,
@@ -919,7 +919,7 @@ def main(argv=None) -> int:
             for line in lines:
                 print(line)
         return 0
-    except (ValidationError, SectionZeroError, PoleError) as exc:
+    except ValidationError as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return 2
     except (CapacityError, QuadratureError) as exc:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .errors import SectionZeroError, ValidationError
 from .exact import as_fraction, sqrt_or_float
 from .lattice import HermitianLattice
-from .places import INF, Place, abs_v, content, support
+from .places import INF, Place, abs_v, content, is_prime, support
 
 
 class ArchKind(enum.Enum):
@@ -235,8 +235,6 @@ def height_adelic(B: MetrizedLineBundle, s: Section, A: AdelicPoint):
         if INF not in A.overrides:
             bad = INF
         else:
-            from .places import is_prime
-
             p = 2
             while not is_prime(p) or Place.finite(p) in A.overrides:
                 p += 1

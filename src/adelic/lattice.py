@@ -78,7 +78,7 @@ class TransformDefect:
 class HermitianLattice:
     """Z^d with an exact symmetric positive definite Gram matrix."""
 
-    __slots__ = ("gram", "rank", "_det", "_int_gram", "_int_scale", "_int_minors", "_int_pivots", "_inv")
+    __slots__ = ("gram", "rank", "_det", "_int_scale", "_int_minors", "_int_pivots", "_inv")
 
     def __init__(self, gram):
         rows = [tuple(as_fraction(v) for v in row) for row in gram]
@@ -103,7 +103,6 @@ class HermitianLattice:
             for v in row:
                 scale = scale * v.denominator // math.gcd(scale, v.denominator)
         self._int_scale = scale
-        self._int_gram = tuple(tuple(int(v * scale) for v in row) for row in rows)
         # Fincke-Pohst data of the integer Gram A = c G: its leading minors
         # D_k = c^k det(G_k) (D_0 = 1), and row k of A after fraction-free
         # elimination of its first k columns, c D_k upper[k], past the
@@ -138,24 +137,11 @@ class HermitianLattice:
         return self._det
 
     def norm_sq(self, x) -> Fraction:
-        """Exact |x|^2 = x^T G x for an integer vector."""
+        """Exact |x|^2 = x^T G x of an integer vector, from G itself; the
+        series read a whole ball's norms from ``_enumerate_scaled``."""
         if len(x) != self.rank:
             raise ValidationError("vector length does not match lattice rank")
-        return Fraction(self._int_norm(x), self._int_scale)
-
-    def _int_norm(self, x) -> int:
-        g = self._int_gram
-        total = 0
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            gi = g[i]
-            row = 0
-            for j, xj in enumerate(x):
-                if xj:
-                    row += gi[j] * xj
-            total += xi * row
-        return total
+        return sum((xi * sum(map(mul, row, x)) for xi, row in zip(x, self.gram)), Fraction(0))
 
 
 def vol(L: HermitianLattice):
@@ -196,14 +182,13 @@ def direct_sum(L1: HermitianLattice, L2: HermitianLattice) -> HermitianLattice:
 # -- enumeration -------------------------------------------------------
 
 
-def _enumerate_scaled(L: HermitianLattice, R2: Fraction, cap: int = ENUM_CAP):
-    """All integer vectors with x^T G x <= R2, by exact integer
-    Fincke-Pohst.
-
-    Returns an unsorted list of (vector tuple, scaled norm) where the
-    scaled norm is the integer q(x) = x^T A x, A = c G, c the common
-    denominator of G; the order is that of nested loops over x_(d-1)
-    (outermost) down to x_0, each ascending.
+def _ball_rows(L: HermitianLattice, R2: Fraction, cap: int = ENUM_CAP) -> list[tuple]:
+    """Level-0 rows (lo, hi, 2 lin_0, P_0 at x_0 = 0, above) of the ball
+    x^T G x <= R2, by exact integer Fincke-Pohst, in the order of nested
+    loops over above = (x_1, ..., x_(d-1)), x_(d-1) outermost, ascending.
+    The ball's vectors are (x_0,) + above for lo <= x_0 <= hi (none when
+    hi = lo - 1), of scaled norm q = x^T A x = x_0 (D_1 x_0 + 2 lin_0) +
+    P_0, where A = c G and c is the common denominator of G.
 
     With D_k the leading minors of A and B_k its pivot rows (see
     ``HermitianLattice``), fixing x_i..x_(d-1) and minimising q over the
@@ -216,8 +201,8 @@ def _enumerate_scaled(L: HermitianLattice, R2: Fraction, cap: int = ENUM_CAP):
     has a real extension with q <= T = floor(c R2) exactly when
     (D_(i+1) x_i + lin_i)^2 <= D_i (D_(i+1) T - P_(i+1)): one isqrt per
     node.  At level 0, P_0 = q(x) and that range is exactly the ball's
-    row, so no vector needs a membership test.  The rows are collected
-    before any vector is built: ``cap`` bounds the vectors kept, and also
+    row, so no vector needs a membership test.  ``cap`` bounds the
+    vectors in the rows, checked before the caller expands any, and also
     the partial vectors visited at levels >= 1, which a skewed basis can
     make far more numerous.
     """
@@ -236,35 +221,46 @@ def _enumerate_scaled(L: HermitianLattice, R2: Fraction, cap: int = ENUM_CAP):
             lo, hi = -((r + lin) // piv), (r - lin) // piv
             rows.append((lo, hi, 2 * lin, (lin * lin + low * P) // piv, above))
         width = sum(hi - lo + 1 for lo, hi, *_ in rows)
-        if i:
-            visited += width
-            if visited > cap:
-                raise CapacityError(f"enumeration visits more than {cap} partial vectors")
-        elif width > cap:
-            raise CapacityError(f"enumeration exceeds cap of {cap} vectors")
+        if not i:
+            break
+        visited += width
+        if visited > cap:
+            raise CapacityError(f"enumeration visits more than {cap} partial vectors")
         nodes = [
             ((xi,) + above, xi * (piv * xi + lin2) + P0) for lo, hi, lin2, P0, above in rows for xi in range(lo, hi + 1)
         ]
-    return nodes
+    if width > cap:
+        raise CapacityError(f"enumeration exceeds cap of {cap} vectors")
+    return rows
 
 
-def _norm_multiplicities(vecs) -> list[tuple[int, int]]:
-    """(q, number of vectors of scaled norm q) over the nonzero norms of
-    an enumeration, ascending in q."""
-    return sorted(Counter(q for _, q in vecs if q).items())
+def _enumerate_scaled(L: HermitianLattice, R2: Fraction, cap: int = ENUM_CAP) -> list[int]:
+    """The scaled norm x^T (c G) x of each integer vector with x^T G x <=
+    R2, one int per vector in the row order of ``_ball_rows`` (x_0
+    ascending in a row); the series need no vector.  The order is part of
+    the result: above 53 bits ``ctx.fsum_iter`` is exact only within about
+    2 prec bits of exponent spread, so ``theta`` there could change in its
+    last bits if the same terms came in another order."""
+    piv = L._int_minors[1]
+    return [x * (piv * x + lin2) + P0 for lo, hi, lin2, P0, _ in _ball_rows(L, R2, cap) for x in range(lo, hi + 1)]
+
+
+def _norm_multiplicities(norms) -> list[tuple[int, int]]:
+    """(q, number of vectors of scaled norm q) over the nonzero scaled
+    norms of a ball, ascending in q."""
+    return sorted(Counter(q for q in norms if q).items())
 
 
 def enumerate_vectors(L: HermitianLattice, R, cap: int = ENUM_CAP) -> list[tuple[int, ...]]:
     """Integer vectors with |x|^2 <= R^2, zero included, in lexicographic
-    order.  Raises CapacityError when more than ``cap`` vectors qualify,
-    or when the enumeration would visit more than ``cap`` partial vectors
+    order; the only place that builds vector tuples from the ball's rows.
+    Raises CapacityError when more than ``cap`` vectors qualify, or when
+    the enumeration would visit more than ``cap`` partial vectors
     (coordinates above the innermost one), before building any vector."""
     Rq = as_fraction(R)
     if Rq < 0:
         raise ValidationError("radius must be nonnegative")
-    vecs = [v for v, _ in _enumerate_scaled(L, Rq * Rq, cap)]
-    vecs.sort()
-    return vecs
+    return sorted((x,) + above for lo, hi, _, _, above in _ball_rows(L, Rq * Rq, cap) for x in range(lo, hi + 1))
 
 
 # -- theta -------------------------------------------------------------
@@ -388,12 +384,12 @@ def theta(L: HermitianLattice, t, eps: float = 1e-12, ctx: Ctx = DEFAULT_CTX, ca
         if R2 > 1e18:
             raise CapacityError("theta truncation radius diverged")
     tail = _theta_tail_bound(d, tf, R2, lam)
-    vecs = _enumerate_scaled(L, Fraction(R2), cap)
+    norms = _enumerate_scaled(L, Fraction(R2), cap)
     scale = -(ctx.pi * ctx.real(tq) / L._int_scale)
     exp = ctx.exp
-    value = ctx.fsum_iter(exp(scale * q) for _, q in vecs)
+    value = ctx.fsum_iter(exp(scale * q) for q in norms)
     err = tail + _roundoff_allowance(float(value), ctx.bits)
-    return SeriesValue(value, err, len(vecs), True)
+    return SeriesValue(value, err, len(norms), True)
 
 
 def theta_functional_equation_defect(L: HermitianLattice, t, eps: float = 1e-12, ctx: Ctx = DEFAULT_CTX) -> TransformDefect:

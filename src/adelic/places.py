@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from itertools import count
-from math import gcd
+from math import gcd, lcm
 
 from .errors import CapacityError, ValidationError, brief
 from .exact import as_fraction
@@ -285,8 +285,6 @@ def content(vec) -> Fraction:
     fracs = [as_fraction(v) for v in vec]
     if all(f == 0 for f in fracs):
         raise ValidationError("content of the zero vector is undefined")
-    from math import gcd, lcm
-
     den = 1
     for f in fracs:
         den = lcm(den, f.denominator)

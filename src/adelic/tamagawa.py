@@ -284,6 +284,9 @@ def tamagawa_number(spec: TamagawaSpec, quad_eps: float = 1e-9) -> TamagawaNumbe
     """
     if not isinstance(spec, TamagawaSpec):
         raise ValidationError(f"expected a TamagawaSpec, got {type(spec).__name__}")
+    if spec.prime_cutoff > ENUM_CAP:
+        # primes_upto sieves a bytearray of cutoff + 1 entries
+        raise CapacityError(f"prime cutoff {brief(spec.prime_cutoff)} exceeds the cap {ENUM_CAP}")
     v = spec.variety
     mu, qerr = _archimedean_density_err(v, spec.arch, quad_eps)
     lstar = picard_lstar(v, spec.sigma)

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import SectionZeroError, ValidationError
 from .exact import Matrix, as_fraction, det, identity, is_diagonal, sqrt_or_float
-from .heights import MetrizedLineBundle, ProjPoint, Section, _gauge_sq
+from .heights import MetrizedLineBundle, ProjPoint, Section, _gauge_sq, local_norm_sq
 from .places import INF, Place, abs_v, content, support
 
 
@@ -186,15 +186,8 @@ def compare_twisted(B: MetrizedLineBundle, s: Section, x: ProjPoint, g: AdelicGr
     for v in sorted(places):
         mat = g.local_matrix(v)
         lhs_sq /= twisted_metric_norm_sq(B, s, x, g, v)
-        img = _mat_vec(mat, xt)
-        sval = s.value(img)
-        if sval == 0:
-            raise SectionZeroError(f"section {s.exponents} vanishes at the translate at {v}", place=v)
-        a = abs_v(sval, v)
-        model_sq = (a * a) / _gauge_sq(img, v, B.arch) ** B.m
-        cv = chi.value(mat)
-        cva = abs_v(cv, v)
-        rhs_sq /= (cva * cva) * model_sq
+        cva = abs_v(chi.value(mat), v)
+        rhs_sq /= (cva * cva) * local_norm_sq(s, _mat_vec(mat, xt), v)
     return sqrt_or_float(lhs_sq), sqrt_or_float(rhs_sq)
 
 

@@ -149,6 +149,7 @@ def test_arakelov_cutoff_refused_before_work():
         ["tamagawa", "--variety", "P1", "--cutoff", "100", "--peyre-check", "--H", "1e400"],
         ["tamagawa", "--variety", "P1", "--cutoff", "100", "--peyre-check", "--H", "1e700"],
         ["tamagawa", "--variety", "P1", "--cutoff", "100", "--peyre-check", "--H", "36000000000000"],
+        ["tamagawa", "--variety", "P1", "--cutoff", str(10**30)],
     ],
 )
 def test_huge_bound_refused_before_work(argv):
@@ -156,7 +157,8 @@ def test_huge_bound_refused_before_work(argv):
     # once; 1e400 used to overflow a float, and 1e30 to start a +-1
     # correction walk from a float estimate some 1e14 steps off.  The
     # fit ladder of --peyre-check is refused before its lower thresholds
-    # are counted (3.6e13 reaches degree-1 height 6e6, over the cap).
+    # are counted (3.6e13 reaches degree-1 height 6e6, over the cap), and
+    # a prime cutoff over the cap before its sieve is allocated.
     t0 = time.perf_counter()
     rc, out, err = run(argv)
     elapsed = time.perf_counter() - t0
@@ -415,3 +417,13 @@ def test_high_precision_context():
     digits = out.split()[0]
     assert digits.startswith("1.08643481121330801457")  # beyond double precision
     assert "128-bit" in out
+
+
+def test_high_precision_dense_theta_bytes(tmp_path):
+    # a dense Gram sums the ball's terms on the mpmath engine, whose last
+    # bits depend on the order of the terms, so this pins that order
+    gram = tmp_path / "gram3.txt"
+    gram.write_text("rank 3\n2 1/2 1/3\n1/2 3 1/4\n1/3 1/4 5/2\n")
+    rc, out, err = run(["--precision-bits", "128", "lattice", "theta", "--gram", str(gram), "--t", "1/2"])
+    assert rc == 0 and err == ""
+    assert out == "1.154267196773153761966260419063232507562 ± 5.558e-35 (581 terms, rigorous, 128-bit)\n"

@@ -9,6 +9,7 @@ import pytest
 from adelic.errors import CapacityError, PoleError, ValidationError
 from adelic.lattice import (
     HermitianLattice,
+    _ball_rows,
     _enumerate_scaled,
     arithmetic_degree,
     completed_lambda,
@@ -123,9 +124,10 @@ def test_enumerate_against_box_scan():
 
 
 def test_enumerate_scaled_norms_against_box_scan():
-    """Oracle for the raw enumerator up to rank 4: every returned scaled
-    norm is the exact integer norm of its vector, the vector set matches
-    a box scan, and a vector lying exactly on the sphere is kept."""
+    """Oracle for the raw enumerator up to rank 4: the vectors of the
+    ball's rows match a box scan, a vector lying exactly on the sphere is
+    kept, and the scaled norms are the exact norms of those vectors in
+    row order."""
     rng = random.Random(78)
     for _ in range(12):
         d = rng.randint(1, 4)
@@ -146,16 +148,31 @@ def test_enumerate_scaled_norms_against_box_scan():
                 scan(prefix + [k])
 
         scan([])
+        vecs = [(x,) + above for lo, hi, _, _, above in _ball_rows(L, R2) for x in range(lo, hi + 1)]
+        assert len(vecs) == len(set(vecs)) and set(vecs) == expected
+        assert on_sphere in vecs and tuple(-v for v in on_sphere) in vecs
         got = _enumerate_scaled(L, R2)
-        got_vecs = {v for v, _ in got}
-        assert len(got) == len(got_vecs) and got_vecs == expected
-        for v, q in got:
-            assert q == L._int_norm(v)
-        assert on_sphere in got_vecs and tuple(-v for v in on_sphere) in got_vecs
+        assert got == [L.norm_sq(v) * L._int_scale for v in vecs]
         # the cap admits a ball of exactly cap vectors and refuses one more
         assert _enumerate_scaled(L, R2, cap=len(got)) == got
         with pytest.raises(CapacityError):
             _enumerate_scaled(L, R2, cap=len(got) - 1)
+        R = math.isqrt(math.floor(R2)) + 1
+        k = len(enumerate_vectors(L, R))
+        assert len(enumerate_vectors(L, R, cap=k)) == k
+        with pytest.raises(CapacityError):
+            enumerate_vectors(L, R, cap=k - 1)
+
+
+def test_enumerate_scaled_is_norms_of_enumerate_vectors():
+    """The scaled norms come one per vector, in the order of nested loops
+    with x_(d-1) outermost, which is lexicographic on reversed vectors."""
+    rng = random.Random(80)
+    for _ in range(20):
+        L = random_lattice(rng, rng.randint(1, 4))
+        R = rng.randint(1, 3)
+        vecs = sorted(enumerate_vectors(L, R), key=lambda v: v[::-1])
+        assert _enumerate_scaled(L, R * R) == [L.norm_sq(v) * L._int_scale for v in vecs]
 
 
 def test_integer_pivots_reproduce_norms():
@@ -173,7 +190,7 @@ def test_integer_pivots_reproduce_norms():
                 Fraction((D[k + 1] * x[k] + sum(b * v for b, v in zip(B[k], x[k + 1 :]))) ** 2, D[k] * D[k + 1])
                 for k in range(L.rank)
             )
-            assert total == L._int_norm(x)
+            assert total == L.norm_sq(x) * L._int_scale
 
 
 def test_enumerate_sheared_basis():
@@ -182,7 +199,8 @@ def test_enumerate_sheared_basis():
 
 def test_enumerate_huge_gram_entry():
     L = HermitianLattice([[10**400, 1], [1, 1]])
-    assert _enumerate_scaled(L, Fraction(1)) == [((0, -1), 1), ((0, 0), 0), ((0, 1), 1)]
+    assert _enumerate_scaled(L, Fraction(1)) == [1, 0, 1]
+    assert enumerate_vectors(L, 1) == [(0, -1), (0, 0), (0, 1)]
 
 
 def test_enumerate_partial_vectors_bounded_by_cap():
