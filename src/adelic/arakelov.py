@@ -27,11 +27,11 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from typing import Callable, Optional
 
 from .errors import CapacityError, ValidationError, brief
-from .heights import ArchKind, ProjPoint, restrict_bundle_sum
+from .heights import ArchKind, ProjPoint, canonical_vectors, restrict_bundle_sum
 from .lattice import (
     ENUM_CAP,
     HermitianLattice,
@@ -153,7 +153,8 @@ class _HeightClass:
 
 def _canonical_pairs(cutoff, arch: ArchKind) -> list[tuple[int, int, int]]:
     """(h^2, a, b) for every canonical pair of height at most ``cutoff``,
-    sorted by h^2 and then by (a, b).
+    sorted by h^2 and then by (a, b): ``canonical_vectors`` on P^1 with
+    gauge squared at most cutoff^2.
 
     The (cutoff + 1)*(2*cutoff + 1) candidate pairs are checked against
     ENUM_CAP before any of them is visited.
@@ -164,16 +165,7 @@ def _canonical_pairs(cutoff, arch: ArchKind) -> list[tuple[int, int, int]]:
     candidates = (B + 1) * (2 * B + 1)
     if candidates > ENUM_CAP:
         raise CapacityError(f"base point enumeration needs {brief(candidates)} candidates, over the cap {ENUM_CAP}")
-    euclid = arch is ArchKind.L2
-    found = [(1, 0, 1)]  # (0 : 1), the one canonical pair with a = 0
-    for a in range(1, B + 1):
-        aa = a * a
-        top = isqrt(B * B - aa) if euclid else B
-        found.extend(
-            (aa + b * b if euclid else max(aa, b * b), a, b) for b in range(-top, top + 1) if gcd(a, b) == 1
-        )
-    found.sort()
-    return found
+    return canonical_vectors(1, arch, B * B)
 
 
 def base_points_by_height(cutoff, arch=ArchKind.MAX, point_filter=None) -> list[ProjPoint]:

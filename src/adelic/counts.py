@@ -3,8 +3,8 @@
 Counting is exact integer arithmetic throughout: for the sup metric the
 height-H ball is a box, for the Euclidean metric it is a ball, and in
 both cases membership of a primitive vector is decided by exact
-comparisons.  Two independent exact methods are provided: a direct box
-scan over canonical representatives (`enumerate_Pn`) and a Moebius
+comparisons.  Two independent exact methods are provided: a direct
+enumeration of canonical representatives (`enumerate_Pn`) and a Moebius
 sieve over dilated boxes or balls (`count_Pn`).  They must always
 agree; the test suite holds them to that.
 
@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapacityError, ValidationError, brief
 from .exact import int_root
-from .heights import ArchKind, MetrizedLineBundle, ProjPoint, height_point_sq
+from .heights import ArchKind, MetrizedLineBundle, ProjPoint, canonical_vectors
 from .lattice import ENUM_CAP, SeriesValue
 from .numeric import fsum_c
 from .places import mobius
@@ -108,50 +107,38 @@ def _check_bundle(n: int, B: MetrizedLineBundle) -> None:
         raise ValidationError(f"counting needs an ample bundle, degree {B.m} < 1")
 
 
-def enumerate_Pn(n: int, B: MetrizedLineBundle, H_bound, cap: int = ENUM_CAP):
-    """All points of P^n(Q) with height at most H_bound, as canonical
-    primitive representatives in deterministic order (height, then
-    lexicographic on coordinates).
-
-    Sup metric: integer box scan with a gcd filter, every comparison
-    exact.  Euclidean metric: same box, then an exact rational test
-    |x|^(2m) <= H^2.  Raises a capacity error when the candidate box
-    exceeds `cap` vectors.
+def _canonical_rows(n: int, B: MetrizedLineBundle, H_bound, cap: int) -> list[tuple[int, ...]]:
+    """``canonical_vectors`` rows (g2, x_0, ..., x_n) of the points of
+    height at most H_bound, each of height squared g2^m.  Raises a capacity
+    error when the box of coordinate radius r = floor(H^(1/m)) (sup
+    metric) or isqrt(floor(H^(2/m))) (Euclidean) exceeds `cap` vectors.
     """
     _check_bundle(n, B)
     bound = _as_bound(H_bound, "H_bound")
     if bound < 1:
         return []
-    dim = n + 1
     if B.arch is ArchKind.MAX:
         r = int_root(bound, B.m)
-        budget = None
+        budget = r * r
     else:
-        # |x|^2 is a positive integer, so the exact acceptance condition
-        # |x|^(2m) <= H^2 reads |x|^2 <= budget.
         budget = int_root(bound * bound, B.m)
         r = math.isqrt(budget)
-    if (2 * r + 1) ** dim > cap:
+    if (2 * r + 1) ** (n + 1) > cap:
         raise CapacityError(
-            f"height bound {brief(H_bound)} needs a scan over {brief((2 * r + 1) ** dim)} "
+            f"height bound {brief(H_bound)} needs a scan over {brief((2 * r + 1) ** (n + 1))} "
             f"vectors, above the cap of {cap}"
         )
-    found = []
-    for vec in itertools.product(range(-r, r + 1), repeat=dim):
-        lead = next((c for c in vec if c != 0), 0)
-        if lead <= 0:
-            continue  # zero vector, or the mirror of a canonical rep
-        if math.gcd(*vec) != 1:
-            continue
-        if budget is None:
-            key = max(abs(c) for c in vec)
-        else:
-            key = sum(c * c for c in vec)
-            if key > budget:
-                continue
-        found.append((key, vec))
-    found.sort()
-    return [ProjPoint(vec) for _, vec in found]
+    return canonical_vectors(n, B.arch, budget)
+
+
+def enumerate_Pn(n: int, B: MetrizedLineBundle, H_bound, cap: int = ENUM_CAP):
+    """All points of P^n(Q) with height at most H_bound, as canonical
+    primitive representatives in deterministic order (height, then
+    lexicographic on coordinates), from ``canonical_vectors``; every
+    comparison is exact.  Raises a capacity error when the coordinate box
+    of the bound exceeds `cap` vectors.
+    """
+    return [ProjPoint(row[1:]) for row in _canonical_rows(n, B, H_bound, cap)]
 
 
 def _ball_count(k: int, radius_sq: int) -> int:
@@ -206,8 +193,9 @@ def count_table(n: int, B: MetrizedLineBundle, thresholds, method: str = "auto",
     """Counting function N(H) sampled at the given thresholds.
 
     `method` picks the exact backend: "sieve" (Moebius inversion),
-    "enumerate" (box scan plus per-point height recomputation), or
-    "auto" for the sieve.  Both backends must give identical tables.
+    "enumerate" (canonical representatives, each height read from its
+    exact gauge squared), or "auto" for the sieve.  Both backends must
+    give identical tables.
     """
     _check_bundle(n, B)
     ts = [_as_bound(t, "threshold") for t in thresholds]
@@ -222,8 +210,7 @@ def count_table(n: int, B: MetrizedLineBundle, thresholds, method: str = "auto",
     if method == "sieve":
         counts = [count_Pn(n, B, t, cap=cap) for t in ts]
     elif method == "enumerate":
-        pts = enumerate_Pn(n, B, ts[-1], cap=cap)
-        keys = sorted(height_point_sq(B, x) for x in pts)
+        keys = [row[0] ** B.m for row in _canonical_rows(n, B, ts[-1], cap)]
         counts = [bisect.bisect_right(keys, t * t) for t in ts]
     else:
         raise ValidationError(f"unknown counting method {method!r}")
@@ -241,11 +228,11 @@ def height_zeta_partial(n: int, B: MetrizedLineBundle, s, H_bound, cap: int = EN
     """
     _check_bundle(n, B)
     z = complex(s)
-    pts = enumerate_Pn(n, B, H_bound, cap=cap)
+    rows = _canonical_rows(n, B, H_bound, cap)
     term_for = {}
     terms = []
-    for x in pts:
-        h2 = height_point_sq(B, x)
+    for row in rows:
+        h2 = row[0] ** B.m
         t = term_for.get(h2)
         if t is None:
             if z == 0:
@@ -258,7 +245,7 @@ def height_zeta_partial(n: int, B: MetrizedLineBundle, s, H_bound, cap: int = EN
         terms.append(t)
     value = fsum_c(terms) if any(isinstance(t, complex) for t in terms) else math.fsum(terms)
     err = 2.0**-48 * math.fsum(abs(t) for t in terms)
-    return SeriesValue(value=value, error_bound=err, terms_used=len(pts), rigorous=True)
+    return SeriesValue(value=value, error_bound=err, terms_used=len(rows), rigorous=True)
 
 
 def fit_asymptotics(table: CountTable, a=None, b=None, window: float = 0.6) -> AsymptoticFit:

@@ -65,40 +65,30 @@ def _eliminate(rows, invert: bool):
     """Gaussian elimination of a square matrix over Fraction, taking the
     first nonzero entry of each column as pivot.
 
-    Returns (det, minors, reduced).  Until the first row exchange the
-    running product of pivots is the k-th leading principal minor, and an
-    exchange is needed exactly where one of them vanishes, so ``minors``
-    holds the leading minors up to and including the first zero one.
-    ``reduced`` is None when det == 0, else [I | A^(-1)] from reducing
-    [A | I] with ``invert`` set, and otherwise A with row k's first k
-    columns eliminated (U in A = L U when no exchange was needed).
+    Returns (det, reduced).  ``reduced`` is None when det == 0, else
+    [I | A^(-1)] from reducing [A | I] when ``invert`` is set.
     """
     n = len(rows)
     a = [[as_fraction(v) for v in r] for r in rows]
     if invert:
         a = [r + list(e) for r, e in zip(a, identity(n))]
-    d, minors, exchanged = Fraction(1), [], False
+    d = Fraction(1)
     for k in range(n):
-        if a[k][k] == 0:
-            if not exchanged:
-                minors.append(Fraction(0))
-                exchanged = True
-            p = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if p is None:
-                return Fraction(0), minors, None
+        p = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if p is None:
+            return Fraction(0), None
+        if p != k:
             a[k], a[p] = a[p], a[k]
             d = -d
         piv = a[k][k]
         d *= piv
-        if not exchanged:
-            minors.append(d)
         if invert:
             a[k] = [v / piv for v in a[k]]
         for i in range(n) if invert else range(k + 1, n):
             if i != k and a[i][k] != 0:
                 f = a[i][k] / a[k][k]
                 a[i] = [vi - f * vk for vi, vk in zip(a[i], a[k])]
-    return d, minors, a
+    return d, a
 
 
 def det(rows) -> Fraction:
@@ -106,18 +96,8 @@ def det(rows) -> Fraction:
 
 
 def inverse(rows) -> Matrix:
-    d, _, reduced = _eliminate(rows, True)
+    d, reduced = _eliminate(rows, True)
     if d == 0:
         raise ValidationError("matrix is singular")
     n = len(reduced)
     return tuple(tuple(r[n:]) for r in reduced)
-
-
-def pivot_rows(rows) -> tuple[list[Fraction], list | None]:
-    """Leading principal minors and the rows of U in rows = L U (L unit
-    lower triangular) from one elimination; row k has the pivot
-    minors[k] / minors[k - 1] (minors[0] for k = 0).  If a leading minor
-    vanishes, ``minors`` stops at the first zero one and the rows mean
-    nothing."""
-    _, minors, reduced = _eliminate(rows, False)
-    return minors, reduced

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 
 from .arakelov import base_points_by_height
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, brief
 from .exact import int_root, sqrt_or_float
 from .heights import ArchKind, ProjPoint
 from .places import Place, abs_v, support
@@ -206,6 +206,10 @@ def enumerate_Fn(Y: HirzebruchSurface, c: FibrationLineClass, arch, H_bound, cap
 
     Output is grouped by base (height, then coordinates), each fiber
     sorted by gauge and then coordinates.  All comparisons are exact.
+
+    Each fiber is scanned over the box 0 <= s <= s_cap, |t| <= t_cap
+    around its gauge ball; the boxes, which bound the output, are summed
+    over the bases and checked against ``cap`` before any fiber is scanned.
     """
     arch = ArchKind.parse(arch)
     n = Y.n
@@ -215,15 +219,19 @@ def enumerate_Fn(Y: HirzebruchSurface, c: FibrationLineClass, arch, H_bound, cap
     bound = Fraction(H_bound)
     if bound < 1:
         return []
-    out: list[FnPoint] = []
+    boxes, total = [], 0
     for b in base_points_by_height(int_root(bound, J)):
         N = int(max(abs(x) for x in b.coords))
         budget_sq = (bound / Fraction(N) ** J) ** 2  # fiber gauge bound, squared: M^(2k) <= this
         # M >= s and M >= |t| / N^n, so M^(2k) <= budget_sq bounds both
         s_cap = int_root(budget_sq, 2 * c.k)
-        if s_cap >= cap:
-            raise CapacityError(f"fiber box at base height {N} exceeds {cap} points")
         t_cap = int_root(budget_sq * N ** (2 * n * c.k), 2 * c.k)
+        total += (s_cap + 1) * (2 * t_cap + 1)
+        if total > cap:
+            raise CapacityError(f"fiber boxes up to base height {N} hold {brief(total)} candidates, over the cap {cap}")
+        boxes.append((b, N, budget_sq, s_cap, t_cap))
+    out: list[FnPoint] = []
+    for b, N, budget_sq, s_cap, t_cap in boxes:
         scale = Fraction(1, N ** (2 * n))
         picked = []
         for s in range(0, s_cap + 1):
@@ -238,7 +246,5 @@ def enumerate_Fn(Y: HirzebruchSurface, c: FibrationLineClass, arch, H_bound, cap
                     continue
                 picked.append((m_sq, (s, t)))
         picked.sort()
-        if len(out) + len(picked) > cap:
-            raise CapacityError(f"enumeration exceeded {cap} points")
         out.extend(FnPoint(b, pair) for _, pair in picked)
     return out

@@ -21,11 +21,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 from .errors import SectionZeroError, ValidationError
 from .exact import as_fraction, sqrt_or_float
 from .lattice import HermitianLattice
-from .places import INF, Place, abs_v, content, is_prime, support
+from .places import INF, Place, abs_v, is_prime, support
 
 
 class ArchKind(enum.Enum):
@@ -52,14 +53,14 @@ class ProjPoint:
         vals = [as_fraction(c) for c in coords]
         if len(vals) < 2:
             raise ValidationError("projective point needs at least 2 coordinates")
-        if all(v == 0 for v in vals):
+        den = lcm(*(v.denominator for v in vals))
+        ints = [v.numerator * (den // v.denominator) for v in vals]
+        g = gcd(*ints)
+        if g == 0:
             raise ValidationError("projective point cannot be the zero vector")
-        c = content(vals)
-        ints = [int(v / c) for v in vals]
-        lead = next(v for v in ints if v != 0)
-        if lead < 0:
-            ints = [-v for v in ints]
-        self.coords = tuple(ints)
+        if next(v for v in ints if v) < 0:
+            g = -g
+        self.coords = tuple(v // g for v in ints)
 
     @property
     def n(self) -> int:
@@ -76,6 +77,34 @@ class ProjPoint:
 
     def __repr__(self) -> str:
         return "(" + " : ".join(str(c) for c in self.coords) + ")"
+
+
+def canonical_vectors(n: int, arch: ArchKind, gauge_sq_max: int) -> list[tuple[int, ...]]:
+    """``(g2, x_0, ..., x_n)`` for each canonical representative x of
+    P^n(Q) (primitive, first nonzero entry positive) whose gauge squared
+    g2, max x_i^2 under ``max`` or sum x_i^2 under ``l2``, is at most
+    ``gauge_sq_max >= 0``; sorted by g2, then coordinates.  Its height for
+    O(m) is g2^(m/2).  Only canonical prefixes are visited: x_i >= 0 while
+    x_0..x_(i-1) are all zero, and under ``l2`` |x_i| is at most the isqrt
+    of the budget left.
+    """
+    euclid = arch is ArchKind.L2
+    r = isqrt(gauge_sq_max)
+    # (g2, gcd, coordinates) of a prefix, gcd 0 while it is all zero; the
+    # last level makes the output tuples
+    prefixes = [(0, 0, ())]
+    for i in range(n + 1):
+        level = []
+        for g2, g, xs in prefixes:
+            top = isqrt(gauge_sq_max - g2) if euclid else r
+            values = range(-top if g else 0, top + 1)
+            if i < n:
+                level.extend((g2 + x * x if euclid else max(g2, x * x), gcd(g, x), xs + (x,)) for x in values)
+            else:
+                level.extend((g2 + x * x if euclid else max(g2, x * x), *xs, x) for x in values if gcd(g, x) == 1)
+        prefixes = level
+    prefixes.sort()
+    return prefixes
 
 
 @dataclass(frozen=True)

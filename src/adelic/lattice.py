@@ -34,7 +34,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import CapacityError, PoleError, ValidationError
-from .exact import as_fraction, identity, inverse, is_diagonal, pivot_rows, sqrt_or_float
+from .exact import as_fraction, identity, inverse, is_diagonal, sqrt_or_float
 from .numeric import Ctx, DEFAULT_CTX, fsum_c
 
 ENUM_CAP = 5_000_000
@@ -92,26 +92,29 @@ class HermitianLattice:
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise ValidationError("Gram matrix must be symmetric")
-        minors, upper = pivot_rows(rows)
-        if any(m <= 0 for m in minors):
-            raise ValidationError("Gram matrix must be positive definite")
+        # Fincke-Pohst data of the integer Gram A = c G (c the common
+        # denominator) from one fraction-free Bareiss elimination, whose
+        # divisions by the previous pivot are exact (Sylvester's identity):
+        # the pivots are the leading minors D_k = c^k det(G_k), D_0 = 1, and
+        # row k past its diagonal D_(k+1), after k eliminations, is pivot row k.
+        scale = math.lcm(*(v.denominator for row in rows for v in row))
+        a = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+        D, pivots = [1], []
+        for k in range(d):
+            p, prev, tail = a[k][k], D[k], a[k][k + 1 :]
+            if p <= 0:
+                raise ValidationError("Gram matrix must be positive definite")
+            pivots.append(tuple(tail))
+            for row in a[k + 1 :]:
+                f = row[k]
+                row[k + 1 :] = [(p * v - f * w) // prev for v, w in zip(row[k + 1 :], tail)]
+            D.append(p)
         self.gram = tuple(rows)
         self.rank = d
-        self._det = minors[-1]
-        scale = 1
-        for row in rows:
-            for v in row:
-                scale = scale * v.denominator // math.gcd(scale, v.denominator)
+        self._det = Fraction(D[d], scale**d)
         self._int_scale = scale
-        # Fincke-Pohst data of the integer Gram A = c G: its leading minors
-        # D_k = c^k det(G_k) (D_0 = 1), and row k of A after fraction-free
-        # elimination of its first k columns, c D_k upper[k], past the
-        # diagonal entry (which is D_(k+1)).
-        D = (1, *(m.numerator * scale ** (k + 1) // m.denominator for k, m in enumerate(minors)))
-        self._int_minors = D
-        self._int_pivots = tuple(
-            tuple(scale * D[k] * v.numerator // v.denominator for v in upper[k][k + 1 :]) for k in range(d)
-        )
+        self._int_minors = tuple(D)
+        self._int_pivots = tuple(pivots)
         self._inv = None
 
     @classmethod

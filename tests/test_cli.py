@@ -150,6 +150,7 @@ def test_arakelov_cutoff_refused_before_work():
         ["tamagawa", "--variety", "P1", "--cutoff", "100", "--peyre-check", "--H", "1e700"],
         ["tamagawa", "--variety", "P1", "--cutoff", "100", "--peyre-check", "--H", "36000000000000"],
         ["tamagawa", "--variety", "P1", "--cutoff", str(10**30)],
+        ["hirzebruch", "enumerate", "--n", "3", "--cls", "1,0,1", "--H", "100"],
     ],
 )
 def test_huge_bound_refused_before_work(argv):
@@ -158,7 +159,9 @@ def test_huge_bound_refused_before_work(argv):
     # correction walk from a float estimate some 1e14 steps off.  The
     # fit ladder of --peyre-check is refused before its lower thresholds
     # are counted (3.6e13 reaches degree-1 height 6e6, over the cap), and
-    # a prime cutoff over the cap before its sieve is allocated.
+    # a prime cutoff over the cap before its sieve is allocated.  The
+    # Hirzebruch fiber boxes are summed over the bases before any fiber
+    # is scanned (about 10^6 points were built before the refusal).
     t0 = time.perf_counter()
     rc, out, err = run(argv)
     elapsed = time.perf_counter() - t0

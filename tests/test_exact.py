@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from adelic.errors import ValidationError
-from adelic.exact import as_fraction, det, identity, int_root, inverse, is_diagonal, pivot_rows, sqrt_or_float
+from adelic.exact import as_fraction, det, identity, int_root, inverse, is_diagonal, sqrt_or_float
 from adelic.lattice import HermitianLattice
 
 
@@ -29,6 +29,12 @@ def random_matrix(rng, n):
     return m
 
 
+def random_positive_definite(rng, n):
+    """B^T B + I for a random rational B."""
+    b = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+    return [[sum(r[i] * r[j] for r in b) + (i == j) for j in range(n)] for i in range(n)]
+
+
 def test_elimination_against_cofactor_expansion():
     rng = random.Random(5)
     singular = 0
@@ -37,19 +43,6 @@ def test_elimination_against_cofactor_expansion():
         m = random_matrix(rng, n)
         d = det(m)
         assert d == cofactor_det(m)
-        minors = [cofactor_det([r[:k] for r in m[:k]]) for k in range(1, n + 1)]
-        got_minors, upper = pivot_rows(m)
-        # the minors up to and including the first zero one
-        first_zero = minors.index(0) + 1 if 0 in minors else n
-        assert got_minors == minors[:first_zero]
-        if all(minors):
-            # Sylvester: after k eliminations, entry (k, j) is the minor on
-            # rows 0..k and columns 0..k-1, j over the k-th leading minor
-            below = [Fraction(1)] + minors
-            for k in range(n):
-                for j in range(n):
-                    sub = [[r[c] for c in (*range(k), j)] for r in m[: k + 1]]
-                    assert upper[k][j] * below[k] == (cofactor_det(sub) if j >= k else 0)
         if d == 0:
             singular += 1
             with pytest.raises(ValidationError):
@@ -59,11 +52,23 @@ def test_elimination_against_cofactor_expansion():
         prod = tuple(tuple(sum(inv[i][k] * m[k][j] for k in range(n)) for j in range(n)) for i in range(n))
         assert prod == identity(n)
     assert 0 < singular < 300
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        g = random_positive_definite(rng, n)
+        L = HermitianLattice(g)
+        assert L._int_scale == math.lcm(*(v.denominator for row in g for v in row))
+        a = [[L._int_scale * v for v in row] for row in g]
+        assert L._int_minors == tuple(cofactor_det([r[:k] for r in a[:k]]) for k in range(n + 1))
+        assert L.det == cofactor_det(g)
+        # Sylvester: after k fraction-free eliminations, entry (k, j) is the
+        # minor of A on rows 0..k and columns 0..k-1, j
+        for k in range(n):
+            want = tuple(cofactor_det([[r[c] for c in (*range(k), j)] for r in a[: k + 1]]) for j in range(k + 1, n))
+            assert L._int_pivots[k] == want
 
 
 def test_indefinite_gram_rejected():
     for g in ([[0, 1], [1, 0]], [[1, 2], [2, 1]], [[1, 0], [0, -1]], [[0]], [[1, 1], [1, 1]], [[2, 0, 1], [0, 0, 0], [1, 0, 2]]):
-        assert any(v <= 0 for v in pivot_rows(g)[0])
         with pytest.raises(ValidationError, match="positive definite"):
             HermitianLattice(g)
     L = HermitianLattice([[2, 1], [1, 2]])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from adelic.heights import (
     MetrizedLineBundle,
     ProjPoint,
     Section,
+    canonical_vectors,
     height_adelic,
     height_point,
     height_point_sq,
@@ -46,6 +48,21 @@ def test_proj_point_validation():
         ProjPoint([1])
     with pytest.raises(ValidationError):
         ProjPoint([0.5, 1])
+
+
+def test_canonical_vectors_against_box_scan():
+    for n in (1, 2, 3):
+        for arch in ArchKind:
+            for top in range(1, 41):
+                r = math.isqrt(top)
+                want = []
+                for x in itertools.product(range(-r, r + 1), repeat=n + 1):
+                    if next((c for c in x if c), 0) <= 0 or math.gcd(*x) != 1:
+                        continue
+                    g2 = max(c * c for c in x) if arch is ArchKind.MAX else sum(c * c for c in x)
+                    if g2 <= top:
+                        want.append((g2, *x))
+                assert canonical_vectors(n, arch, top) == sorted(want), (n, arch, top)
 
 
 def test_height_examples():
