@@ -15,6 +15,7 @@ shape theta * H^a * (log H)^(b - 1), with optional pinning of a and b.
 from __future__ import annotations
 
 import bisect
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -217,6 +218,19 @@ def count_table(n: int, B: MetrizedLineBundle, thresholds, method: str = "auto",
     return CountTable(tuple(ts), tuple(counts))
 
 
+def _height_power(h2: int, z: complex):
+    """h2^(-z/2) as a float, or a complex for non-real z.  A height
+    squared past the double range goes through the logarithm of the exact
+    integer; a result past it raises OverflowError.  At z = 0 it is
+    exactly 1.0, since x ** -0.0 is."""
+    try:
+        x = float(h2)
+    except OverflowError:
+        log_h2 = math.log(h2)
+        return math.exp(-0.5 * z.real * log_h2) if z.imag == 0.0 else cmath.exp(-0.5 * z * log_h2)
+    return x ** (-0.5 * z.real) if z.imag == 0.0 else complex(x) ** (-0.5 * z)
+
+
 def height_zeta_partial(n: int, B: MetrizedLineBundle, s, H_bound, cap: int = ENUM_CAP) -> SeriesValue:
     """Partial height zeta sum over points of height <= H_bound:
     sum of H(x)^(-s) in deterministic enumeration order.
@@ -224,27 +238,24 @@ def height_zeta_partial(n: int, B: MetrizedLineBundle, s, H_bound, cap: int = EN
     Each distinct height value is raised to the power once and reused.
     The sum is exactly rounded, so it does not depend on the order of
     the terms.  At s = 0 every term is exactly 1.0 and the value equals
-    the count exactly.
+    the count exactly.  A term or sum past the double range is refused.
     """
     _check_bundle(n, B)
     z = complex(s)
     rows = _canonical_rows(n, B, H_bound, cap)
     term_for = {}
     terms = []
-    for row in rows:
-        h2 = row[0] ** B.m
-        t = term_for.get(h2)
-        if t is None:
-            if z == 0:
-                t = 1.0
-            elif z.imag == 0.0:
-                t = float(h2) ** (-0.5 * z.real)
-            else:
-                t = complex(h2) ** (-0.5 * z)
-            term_for[h2] = t
-        terms.append(t)
-    value = fsum_c(terms) if any(isinstance(t, complex) for t in terms) else math.fsum(terms)
-    err = 2.0**-48 * math.fsum(abs(t) for t in terms)
+    try:
+        for row in rows:
+            h2 = row[0] ** B.m
+            t = term_for.get(h2)
+            if t is None:
+                t = term_for[h2] = _height_power(h2, z)
+            terms.append(t)
+        value = fsum_c(terms) if any(isinstance(t, complex) for t in terms) else math.fsum(terms)
+        err = 2.0**-48 * math.fsum(abs(t) for t in terms)
+    except OverflowError:
+        raise ValidationError(f"H^(-s) at s = {s!r} overflows a float below the height bound {brief(H_bound)}") from None
     return SeriesValue(value=value, error_bound=err, terms_used=len(rows), rigorous=True)
 
 

@@ -16,13 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import groupby
+from math import isqrt
+from operator import itemgetter
 
-from .arakelov import base_points_by_height
-from .errors import CapacityError, ValidationError, brief
+from .arakelov import _canonical_pairs
+from .errors import CapacityError, ValidationError
 from .exact import int_root, sqrt_or_float
-from .heights import ArchKind, ProjPoint
-from .places import Place, abs_v, support
+from .heights import ArchKind, ProjPoint, canonical_vectors
+from .places import Place, abs_v, euler_phi, support
 
 FIBER_ENUM_CAP = 1_000_000
 
@@ -55,36 +57,29 @@ class FibrationLineClass:
         return FibrationLineClass(self.k, self.w + steps, self.j - n * steps)
 
 
-def _canonical_pair(pair) -> tuple:
-    s, t = (int(x) for x in pair)
-    if s == 0 and t == 0:
-        raise ValidationError("fiber coordinates must not both vanish")
-    g = gcd(abs(s), abs(t))
-    s //= g
-    t //= g
-    lead = s if s != 0 else t
-    if lead < 0:
-        s, t = -s, -t
-    return (s, t)
+def _point_of_P1(x, message: str) -> ProjPoint:
+    p = x if isinstance(x, ProjPoint) else ProjPoint(x)
+    if p.n != 1:
+        raise ValidationError(message)
+    return p
 
 
 @dataclass(frozen=True)
 class FnPoint:
     """A rational point: base on P^1 plus projective fiber coordinates.
 
-    Both representatives are stored primitive with positive leading
-    entry, so equal points compare equal.
+    Both representatives are normalised as a ``ProjPoint`` (primitive
+    integers, positive leading entry), so equal points compare equal; a
+    ``ProjPoint`` is taken as it is.  The fiber is stored as its
+    coordinate pair.
     """
 
     base: ProjPoint
     fiber: tuple
 
     def __post_init__(self):
-        base = self.base if isinstance(self.base, ProjPoint) else ProjPoint(self.base)
-        if base.n != 1:
-            raise ValidationError("base point must lie on P^1")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "fiber", _canonical_pair(self.fiber))
+        object.__setattr__(self, "base", _point_of_P1(self.base, "base point must lie on P^1"))
+        object.__setattr__(self, "fiber", _point_of_P1(self.fiber, "fiber coordinates must be a pair").coords)
 
     @property
     def base_height(self) -> int:
@@ -194,6 +189,23 @@ def height_Fn_raw(Y: HirzebruchSurface, c: FibrationLineClass, base_vec, fiber_v
     return sqrt_or_float(total_sq)
 
 
+def _row_total(W: int, Q: int, arch: ArchKind, limit: int) -> int:
+    """Candidates that ``canonical_vectors`` visits for the fiber pairs
+    (s, t) of weighted gauge squared at most Q under the weights (W, 1):
+    1 on the row s = 0 (t = 1 only), and the 2*|t|_max + 1 values of t on
+    each row 1 <= s <= isqrt(Q // W).  The ``l2`` sum stops once it
+    passes ``limit``."""
+    rows = isqrt(Q // W)
+    if arch is ArchKind.MAX:
+        return 1 + rows * (2 * isqrt(Q) + 1)
+    total = 1
+    for s in range(1, rows + 1):
+        total += 2 * isqrt(Q - W * s * s) + 1
+        if total > limit:
+            break
+    return total
+
+
 def enumerate_Fn(Y: HirzebruchSurface, c: FibrationLineClass, arch, H_bound, cap: int = FIBER_ENUM_CAP) -> list[FnPoint]:
     """Fiberwise enumeration below a height bound.
 
@@ -207,44 +219,37 @@ def enumerate_Fn(Y: HirzebruchSurface, c: FibrationLineClass, arch, H_bound, cap
     Output is grouped by base (height, then coordinates), each fiber
     sorted by gauge and then coordinates.  All comparisons are exact.
 
-    Each fiber is scanned over the box 0 <= s <= s_cap, |t| <= t_cap
-    around its gauge ball; the boxes, which bound the output, are summed
-    over the bases and checked against ``cap`` before any fiber is scanned.
+    Over a base of height N the fiber gauge squared is M^2 = g / W, with
+    W = N^(2n) and g the integer gauge squared of (s, t) under the weights
+    (W, 1); so M^k <= H_bound / N^J holds exactly when g <= Q_N, the
+    integer k-th root of (H_bound / N^J)^2 * W^k.  The 4*phi(N) bases of
+    height N share one fiber list, the ``canonical_vectors`` rows of
+    budget Q_N.  Their exact candidate counts (``_row_total``) times
+    4*phi(N) are summed over the heights and checked against ``cap``
+    before any base or fiber is built.
     """
     arch = ArchKind.parse(arch)
-    n = Y.n
+    n, k = Y.n, c.k
     J = twisted_degree(Y, c)
-    if c.k < 1 or J < 1:
+    if k < 1 or J < 1:
         raise ValidationError("enumeration needs fiber degree >= 1 and twisted base degree >= 1")
     bound = Fraction(H_bound)
     if bound < 1:
         return []
-    boxes, total = [], 0
-    for b in base_points_by_height(int_root(bound, J)):
-        N = int(max(abs(x) for x in b.coords))
-        budget_sq = (bound / Fraction(N) ** J) ** 2  # fiber gauge bound, squared: M^(2k) <= this
-        # M >= s and M >= |t| / N^n, so M^(2k) <= budget_sq bounds both
-        s_cap = int_root(budget_sq, 2 * c.k)
-        t_cap = int_root(budget_sq * N ** (2 * n * c.k), 2 * c.k)
-        total += (s_cap + 1) * (2 * t_cap + 1)
+    budgets, total = [], 0
+    for N in range(1, int_root(bound, J) + 1):
+        W = N ** (2 * n)
+        Q = int_root((bound / N**J) ** 2 * W**k, k)
+        bases = 4 * euler_phi(N)
+        total += bases * _row_total(W, Q, arch, (cap - total) // bases)
         if total > cap:
-            raise CapacityError(f"fiber boxes up to base height {N} hold {brief(total)} candidates, over the cap {cap}")
-        boxes.append((b, N, budget_sq, s_cap, t_cap))
+            raise CapacityError(f"fiber rows up to base height {N} hold more than the cap of {cap} candidates")
+        budgets.append((W, Q))
     out: list[FnPoint] = []
-    for b, N, budget_sq, s_cap, t_cap in boxes:
-        scale = Fraction(1, N ** (2 * n))
-        picked = []
-        for s in range(0, s_cap + 1):
-            for t in range(-t_cap, t_cap + 1):
-                if s == 0:
-                    if t != 1:
-                        continue
-                elif gcd(s, abs(t)) != 1:
-                    continue
-                m_sq = _fiber_gauge_sq(s, t, scale, arch)
-                if m_sq**c.k > budget_sq:
-                    continue
-                picked.append((m_sq, (s, t)))
-        picked.sort()
-        out.extend(FnPoint(b, pair) for _, pair in picked)
+    heights = groupby(_canonical_pairs(len(budgets), ArchKind.MAX), key=itemgetter(0))
+    for (W, Q), (_, pairs) in zip(budgets, heights):
+        fibers = [ProjPoint(v[1:]) for v in canonical_vectors(1, arch, Q, (W, 1))]
+        for _, a, b in pairs:
+            base = ProjPoint((a, b))
+            out.extend(FnPoint(base, f) for f in fibers)
     return out

@@ -79,29 +79,37 @@ class ProjPoint:
         return "(" + " : ".join(str(c) for c in self.coords) + ")"
 
 
-def canonical_vectors(n: int, arch: ArchKind, gauge_sq_max: int) -> list[tuple[int, ...]]:
+def canonical_vectors(n: int, arch: ArchKind, gauge_sq_max: int, weights=None) -> list[tuple[int, ...]]:
     """``(g2, x_0, ..., x_n)`` for each canonical representative x of
     P^n(Q) (primitive, first nonzero entry positive) whose gauge squared
-    g2, max x_i^2 under ``max`` or sum x_i^2 under ``l2``, is at most
-    ``gauge_sq_max >= 0``; sorted by g2, then coordinates.  Its height for
-    O(m) is g2^(m/2).  Only canonical prefixes are visited: x_i >= 0 while
-    x_0..x_(i-1) are all zero, and under ``l2`` |x_i| is at most the isqrt
-    of the budget left.
+    g2, max w_i*x_i^2 under ``max`` or sum w_i*x_i^2 under ``l2``, is at
+    most ``gauge_sq_max >= 0``; sorted by g2, then coordinates.  The
+    integer weights w_i >= 1 default to 1, and then the height for O(m)
+    is g2^(m/2).  Only canonical prefixes are visited: x_i >= 0 while
+    x_0..x_(i-1) are all zero, |x_i| is at most the isqrt of the budget
+    left divided by w_i, and after an all-zero prefix the last coordinate
+    takes only the value 1.
     """
     euclid = arch is ArchKind.L2
-    r = isqrt(gauge_sq_max)
+    ws = (1,) * (n + 1) if weights is None else tuple(weights)
     # (g2, gcd, coordinates) of a prefix, gcd 0 while it is all zero; the
     # last level makes the output tuples
     prefixes = [(0, 0, ())]
-    for i in range(n + 1):
+    for i, w in enumerate(ws):
+        r = isqrt(gauge_sq_max // w)
         level = []
         for g2, g, xs in prefixes:
-            top = isqrt(gauge_sq_max - g2) if euclid else r
+            top = isqrt((gauge_sq_max - g2) // w) if euclid else r
+            if i == n and not g:
+                # an all-zero prefix has g2 = 0 and only x = 1 is primitive
+                if top:
+                    level.append((w, *xs, 1))
+                continue
             values = range(-top if g else 0, top + 1)
             if i < n:
-                level.extend((g2 + x * x if euclid else max(g2, x * x), gcd(g, x), xs + (x,)) for x in values)
+                level.extend((g2 + w * x * x if euclid else max(g2, w * x * x), gcd(g, x), xs + (x,)) for x in values)
             else:
-                level.extend((g2 + x * x if euclid else max(g2, x * x), *xs, x) for x in values if gcd(g, x) == 1)
+                level.extend((g2 + w * x * x if euclid else max(g2, w * x * x), *xs, x) for x in values if gcd(g, x) == 1)
         prefixes = level
     prefixes.sort()
     return prefixes

@@ -88,6 +88,18 @@ def convergence_factor(variety, p: int) -> Fraction:
     return (1 - Fraction(1, p)) ** picard_rank(variety)
 
 
+def _euler_factor(variety, p: int, exceptional: bool) -> tuple[int, int]:
+    """Numerator and denominator of the local density at the prime p,
+    times the convergence factor unless p is exceptional: the rational
+    ``local_density_finite(variety, p) * convergence_factor(variety, p)``
+    in closed form, (p^(n+1) - 1) / p^(n+1) for P^n and (p^2 - 1)^2 / p^4
+    for a Hirzebruch surface, without re-checking p or the variety."""
+    if isinstance(variety, Pn):
+        q = p ** (variety.n + 1)
+        return (q - 1, (p - 1) * q // p) if exceptional else (q - 1, q)
+    return ((p + 1) ** 2, p * p) if exceptional else ((p * p - 1) ** 2, p**4)
+
+
 def picard_lstar(variety, sigma) -> Fraction:
     """Leading coefficient at s = 1 of the Picard L-function with the
     Euler factors at the finite places of sigma removed.
@@ -294,12 +306,10 @@ def tamagawa_number(spec: TamagawaSpec, quad_eps: float = 1e-9) -> TamagawaNumbe
     finite = 1.0
     leading = []
     for p in primes:
-        fac = local_density_finite(v, p)
-        if p not in spec.sigma:
-            fac *= convergence_factor(v, p)
+        num, den = _euler_factor(v, p, p in spec.sigma)
         if len(leading) < 20:
-            leading.append((p, fac))
-        finite *= float(fac)
+            leading.append((p, Fraction(num, den)))
+        finite *= num / den  # the correctly rounded quotient, as float(Fraction) gives
     value = float(lstar) * mu * finite
     tail_coeff = 1.0 if isinstance(v, Pn) else 2.0
     tail = abs(value) * 1.2 * tail_coeff / spec.prime_cutoff

@@ -128,6 +128,15 @@ def test_capacity_exit_code():
     assert rc == 3 and err.startswith("error: capacity:")
 
 
+def test_zeta_past_double_range():
+    rc, out, err = run(["zeta", "--n", "1", "--m", "1000", "--s", "3", "--H", "1e400"])
+    assert rc == 0 and out.startswith("4.0 ")
+    for s in ("-3", "-3+1j"):
+        rc, out, err = run(["zeta", "--n", "1", "--m", "1000", "--s", s, "--H", "1e400"])
+        assert rc == 2 and out == ""
+        assert err.startswith("error: validation:") and err.count("\n") == 1
+
+
 def test_arakelov_cutoff_refused_before_work():
     t0 = time.perf_counter()
     rc, out, err = run(["arakelov", "--cutoff", "3000", "--phi", "norm"])
@@ -151,6 +160,7 @@ def test_arakelov_cutoff_refused_before_work():
         ["tamagawa", "--variety", "P1", "--cutoff", "100", "--peyre-check", "--H", "36000000000000"],
         ["tamagawa", "--variety", "P1", "--cutoff", str(10**30)],
         ["hirzebruch", "enumerate", "--n", "3", "--cls", "1,0,1", "--H", "100"],
+        ["hirzebruch", "enumerate", "--n", "0", "--cls", "1,0,1", "--H", "1500"],
     ],
 )
 def test_huge_bound_refused_before_work(argv):
@@ -160,8 +170,9 @@ def test_huge_bound_refused_before_work(argv):
     # fit ladder of --peyre-check is refused before its lower thresholds
     # are counted (3.6e13 reaches degree-1 height 6e6, over the cap), and
     # a prime cutoff over the cap before its sieve is allocated.  The
-    # Hirzebruch fiber boxes are summed over the bases before any fiber
-    # is scanned (about 10^6 points were built before the refusal).
+    # candidates on the Hirzebruch fiber rows are counted exactly, height
+    # by height, before any base or fiber is built (F0 under H = 1500 used
+    # to build 2.7 million base points before its refusal).
     t0 = time.perf_counter()
     rc, out, err = run(argv)
     elapsed = time.perf_counter() - t0

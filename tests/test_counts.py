@@ -177,6 +177,23 @@ def test_zeta_partial_cauchy_stable():
     assert z_rerun == z200
 
 
+def test_zeta_partial_past_double_range():
+    # r = 2 under H = 10^400 in degree 1000: four points of height 1 and
+    # four of height 2^1000, whose height squared 4^1000 is past a double
+    B = MetrizedLineBundle(1, 1000, ArchKind.MAX)
+    H = 10**400
+    assert height_zeta_partial(1, B, 3, H).value == 4.0
+    assert height_zeta_partial(1, B, 3 + 1j, H).value == 4.0
+    # H^(-s) = 2^(-10) at s = 1/100
+    assert height_zeta_partial(1, B, 0.01, H).value == pytest.approx(4.0 + 4 / 1024, rel=1e-12)
+    for s in (-3, -3 + 1j):
+        with pytest.raises(ValidationError):
+            height_zeta_partial(1, B, s, H)
+    # height squared 4^100 fits a double, its power to s = -12 does not
+    with pytest.raises(ValidationError):
+        height_zeta_partial(1, MetrizedLineBundle(1, 100, ArchKind.MAX), -12, 2**100)
+
+
 def test_fit_recovers_exact_quadratic_model():
     ts = tuple(10 * 2**k for k in range(10))
     table = CountTable(ts, tuple(7 * t * t for t in ts))

@@ -50,6 +50,21 @@ def test_point_canonicalization():
         FnPoint(ProjPoint((1, 2, 3)), (1, 0))
 
 
+def test_point_fiber_follows_projpoint_rule():
+    # a rational fiber is scaled to primitive integers, not truncated
+    assert FnPoint((2, 3), (Fraction(1, 2), 1)).fiber == (1, 2)
+    assert FnPoint((2, 3), (Fraction(-2, 3), Fraction(4, 9))).fiber == (3, -2)
+    with pytest.raises(ValidationError):
+        FnPoint((2, 3), (0.5, 1))
+    with pytest.raises(ValidationError):
+        FnPoint((2, 3), (1, 2, 3))
+    with pytest.raises(ValidationError):
+        FnPoint((2, 3), ProjPoint((1, 2, 3)))
+    # a ProjPoint fiber is taken as it is
+    f = ProjPoint((3, -4))
+    assert FnPoint((2, 3), f).fiber is f.coords
+
+
 def test_height_examples():
     # trivial torsor: product of the two coordinate heights
     Y0 = HirzebruchSurface(0)
@@ -337,3 +352,31 @@ def test_enumeration_validation_and_capacity():
         enumerate_Fn(Y1, FibrationLineClass(1, 0, -1), ArchKind.MAX, 5)
     with pytest.raises(CapacityError):
         enumerate_Fn(Y1, FibrationLineClass(1, 0, 1), ArchKind.MAX, 50, cap=10)
+
+
+@pytest.mark.parametrize(
+    "n, arch, total",
+    [
+        # height 1: W = 1, Q = 4, rows s = 0, 1, 2 of 1 + 5 + 5 candidates;
+        # height 2: W = 4, Q = 4, rows s = 0, 1 of 1 + 5; 4 bases each
+        (1, ArchKind.MAX, 4 * 11 + 4 * 6),
+        # height 1: W = 1, Q = 4, rows s = 0, 1, 2 of 1 + 3 + 1 candidates;
+        # height 2: W = 1024, Q = 1024, rows s = 0, 1 of 1 + 1
+        (5, ArchKind.L2, 4 * 5 + 4 * 2),
+    ],
+)
+def test_enumeration_cap_is_the_exact_row_total(n, arch, total):
+    Y, c = HirzebruchSurface(n), FibrationLineClass(1, 0, 1)
+    pts = enumerate_Fn(Y, c, arch, 2, cap=total)
+    assert {(tuple(p.base.coords), p.fiber) for p in pts} == _brute_points(Y, c, arch, 2)
+    with pytest.raises(CapacityError):
+        enumerate_Fn(Y, c, arch, 2, cap=total - 1)
+
+
+def test_enumeration_tall_twists():
+    # the fiber rows of F3 hold 112,504 points under H = 13, and over the
+    # height 2 bases of F40 the row s = 0 visits t = 1 alone, not 2^40 values
+    assert len(enumerate_Fn(HirzebruchSurface(3), FibrationLineClass(3, 0, 1), ArchKind.L2, 13)) == 112504
+    pts = enumerate_Fn(HirzebruchSurface(40), FibrationLineClass(1, 0, 1), ArchKind.L2, 2)
+    assert len(pts) == 24
+    assert {p.fiber for p in pts if p.base_height == 2} == {(0, 1), (1, 0)}

@@ -51,18 +51,24 @@ def test_proj_point_validation():
 
 
 def test_canonical_vectors_against_box_scan():
-    for n in (1, 2, 3):
+    # (n, weights, largest gauge_sq_max); weights of None mean all 1
+    cases = [(n, None, 40) for n in (1, 2, 3)]
+    cases += [(1, w, 130) for w in ((1, 1), (4, 1), (64, 1), (3, 2))]
+    cases += [(2, w, 40) for w in ((1, 1, 1), (4, 1, 1), (1, 9, 2))]
+    for n, weights, tops in cases:
+        ws = weights or (1,) * (n + 1)
         for arch in ArchKind:
-            for top in range(1, 41):
+            for top in range(tops + 1):
                 r = math.isqrt(top)
                 want = []
                 for x in itertools.product(range(-r, r + 1), repeat=n + 1):
                     if next((c for c in x if c), 0) <= 0 or math.gcd(*x) != 1:
                         continue
-                    g2 = max(c * c for c in x) if arch is ArchKind.MAX else sum(c * c for c in x)
+                    g = [w * c * c for w, c in zip(ws, x)]
+                    g2 = max(g) if arch is ArchKind.MAX else sum(g)
                     if g2 <= top:
                         want.append((g2, *x))
-                assert canonical_vectors(n, arch, top) == sorted(want), (n, arch, top)
+                assert canonical_vectors(n, arch, top, weights) == sorted(want), (n, weights, arch, top)
 
 
 def test_height_examples():

@@ -49,6 +49,23 @@ def test_convergence_factor_examples():
         assert cubic == 1 - Fraction(1, p**3)
 
 
+def test_euler_product_matches_local_factors():
+    # the closed-form factors of tamagawa_number are the checked public
+    # ones, multiplied into the same floats in the same order
+    for v in (P1, Pn(3), HirzebruchSurface(2)):
+        spec = TamagawaSpec(v, ArchKind.MAX, 3000, frozenset({2, 7}))
+        finite, leading = 1.0, []
+        for p in primes_upto(3000):
+            fac = local_density_finite(v, p)
+            if p not in spec.sigma:
+                fac *= convergence_factor(v, p)
+            leading.append((p, fac))
+            finite *= float(fac)
+        t = tamagawa_number(spec)
+        assert t.finite_partial == finite
+        assert t.leading_factors == tuple(leading[:20])
+
+
 def test_local_data_validation():
     with pytest.raises(ValidationError):
         local_density_finite(P1, 4)
