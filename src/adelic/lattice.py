@@ -31,6 +31,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 from .errors import CapacityError, PoleError, ValidationError
@@ -141,7 +142,8 @@ class HermitianLattice:
 
     def norm_sq(self, x) -> Fraction:
         """Exact |x|^2 = x^T G x of an integer vector, from G itself; the
-        series read a whole ball's norms from ``_enumerate_scaled``."""
+        series read a ball's norms, one per pair {x, -x}, from
+        ``_enumerate_scaled``."""
         if len(x) != self.rank:
             raise ValidationError("vector length does not match lattice rank")
         return sum((xi * sum(map(mul, row, x)) for xi, row in zip(x, self.gram)), Fraction(0))
@@ -186,12 +188,16 @@ def direct_sum(L1: HermitianLattice, L2: HermitianLattice) -> HermitianLattice:
 
 
 def _ball_rows(L: HermitianLattice, R2: Fraction, cap: int = ENUM_CAP) -> list[tuple]:
-    """Level-0 rows (lo, hi, 2 lin_0, P_0 at x_0 = 0, above) of the ball
-    x^T G x <= R2, by exact integer Fincke-Pohst, in the order of nested
-    loops over above = (x_1, ..., x_(d-1)), x_(d-1) outermost, ascending.
-    The ball's vectors are (x_0,) + above for lo <= x_0 <= hi (none when
-    hi = lo - 1), of scaled norm q = x^T A x = x_0 (D_1 x_0 + 2 lin_0) +
-    P_0, where A = c G and c is the common denominator of G.
+    """Level-0 rows (lo, hi, 2 lin_0, P_0 at x_0 = 0, above) of one half
+    of the ball x^T G x <= R2, by exact integer Fincke-Pohst, in the order
+    of nested loops over above = (x_1, ..., x_(d-1)), x_(d-1) outermost,
+    ascending.  The rows' vectors are (x_0,) + above for lo <= x_0 <= hi
+    (none when hi = lo - 1), of scaled norm q = x^T A x = x_0 (D_1 x_0 +
+    2 lin_0) + P_0, where A = c G and c is the common denominator of G.
+    They are one vector of each pair {x, -x} of nonzero vectors in the
+    ball, the one whose top nonzero coordinate is positive; the zero
+    vector is left out, so the ball holds 2 n + 1 vectors when the rows
+    hold n.
 
     With D_k the leading minors of A and B_k its pivot rows (see
     ``HermitianLattice``), fixing x_i..x_(d-1) and minimising q over the
@@ -204,10 +210,13 @@ def _ball_rows(L: HermitianLattice, R2: Fraction, cap: int = ENUM_CAP) -> list[t
     has a real extension with q <= T = floor(c R2) exactly when
     (D_(i+1) x_i + lin_i)^2 <= D_i (D_(i+1) T - P_(i+1)): one isqrt per
     node.  At level 0, P_0 = q(x) and that range is exactly the ball's
-    row, so no vector needs a membership test.  ``cap`` bounds the
-    vectors in the rows, checked before the caller expands any, and also
-    the partial vectors visited at levels >= 1, which a skewed basis can
-    make far more numerous.
+    row, so no vector needs a membership test.  A is positive definite,
+    so P_(i+1) = 0 exactly when every coordinate above i is 0; only there
+    is the range cut to x_i >= 0 (x_0 >= 1 at level 0).  ``cap`` bounds
+    the vectors of the whole ball, checked before the caller expands any
+    row, and also the partial vectors of the whole ball visited at levels
+    >= 1, which a skewed basis can make far more numerous; a level of w
+    half partial vectors, the all-zero one among them, stands for 2 w - 1.
     """
     if R2 < 0:
         raise ValidationError("radius must be nonnegative")
@@ -222,48 +231,52 @@ def _ball_rows(L: HermitianLattice, R2: Fraction, cap: int = ENUM_CAP) -> list[t
             lin = sum(map(mul, B[i], above))
             r = math.isqrt(low * (piv * thr - P))
             lo, hi = -((r + lin) // piv), (r - lin) // piv
+            if not P:
+                lo = 0 if i else 1
             rows.append((lo, hi, 2 * lin, (lin * lin + low * P) // piv, above))
         width = sum(hi - lo + 1 for lo, hi, *_ in rows)
         if not i:
             break
-        visited += width
+        visited += 2 * width - 1
         if visited > cap:
             raise CapacityError(f"enumeration visits more than {cap} partial vectors")
         nodes = [
             ((xi,) + above, xi * (piv * xi + lin2) + P0) for lo, hi, lin2, P0, above in rows for xi in range(lo, hi + 1)
         ]
-    if width > cap:
+    if 2 * width + 1 > cap:
         raise CapacityError(f"enumeration exceeds cap of {cap} vectors")
     return rows
 
 
 def _enumerate_scaled(L: HermitianLattice, R2: Fraction, cap: int = ENUM_CAP) -> list[int]:
-    """The scaled norm x^T (c G) x of each integer vector with x^T G x <=
-    R2, one int per vector in the row order of ``_ball_rows`` (x_0
-    ascending in a row); the series need no vector.  The order is part of
-    the result: above 53 bits ``ctx.fsum_iter`` is exact only within about
-    2 prec bits of exponent spread, so ``theta`` there could change in its
-    last bits if the same terms came in another order."""
+    """The scaled norm x^T (c G) x of each vector of the half ball of
+    ``_ball_rows`` (one of each pair {x, -x}, zero left out), one int per
+    vector in row order (x_0 ascending in a row); the series need no
+    vector.  A series over the whole ball counts each norm twice and adds
+    the zero vector's term."""
     piv = L._int_minors[1]
     return [x * (piv * x + lin2) + P0 for lo, hi, lin2, P0, _ in _ball_rows(L, R2, cap) for x in range(lo, hi + 1)]
 
 
-def _norm_multiplicities(norms) -> list[tuple[int, int]]:
-    """(q, number of vectors of scaled norm q) over the nonzero scaled
-    norms of a ball, ascending in q."""
-    return sorted(Counter(q for q in norms if q).items())
+def _norm_multiplicities(half_norms) -> list[tuple[int, int]]:
+    """(q, number of vectors of scaled norm q) over the nonzero vectors of
+    a ball, ascending in q, from the norms of its half ball: x and -x
+    share a norm, so each count is twice the half ball's."""
+    return sorted((q, 2 * m) for q, m in Counter(half_norms).items())
 
 
 def enumerate_vectors(L: HermitianLattice, R, cap: int = ENUM_CAP) -> list[tuple[int, ...]]:
     """Integer vectors with |x|^2 <= R^2, zero included, in lexicographic
-    order; the only place that builds vector tuples from the ball's rows.
-    Raises CapacityError when more than ``cap`` vectors qualify, or when
-    the enumeration would visit more than ``cap`` partial vectors
-    (coordinates above the innermost one), before building any vector."""
+    order; the only place that builds vector tuples, from the half ball's
+    rows, their negatives and the zero vector.  Raises CapacityError when
+    more than ``cap`` vectors qualify, or when the enumeration would visit
+    more than ``cap`` partial vectors (coordinates above the innermost
+    one), before building any vector."""
     Rq = as_fraction(R)
     if Rq < 0:
         raise ValidationError("radius must be nonnegative")
-    return sorted((x,) + above for lo, hi, _, _, above in _ball_rows(L, Rq * Rq, cap) for x in range(lo, hi + 1))
+    half = [(x,) + above for lo, hi, _, _, above in _ball_rows(L, Rq * Rq, cap) for x in range(lo, hi + 1)]
+    return sorted(chain(half, (tuple(-v for v in x) for x in half), ((0,) * L.rank,)))
 
 
 # -- theta -------------------------------------------------------------
@@ -390,9 +403,14 @@ def theta(L: HermitianLattice, t, eps: float = 1e-12, ctx: Ctx = DEFAULT_CTX, ca
     norms = _enumerate_scaled(L, Fraction(R2), cap)
     scale = -(ctx.pi * ctx.real(tq) / L._int_scale)
     exp = ctx.exp
-    value = ctx.fsum_iter(exp(scale * q) for q in norms)
+    # the zero vector's 1, then one doubled term per pair {x, -x}: doubling
+    # is exact, so the exact sum is that of one term per vector.  math.fsum
+    # rounds it once; so does the high-precision engine's fsum while every
+    # term is >= 2^(-2 prec): it drops a term only past 2 prec bits below
+    # its accumulator
+    value = ctx.fsum_iter(chain((ctx.one,), (2 * exp(scale * q) for q in norms)))
     err = tail + _roundoff_allowance(float(value), ctx.bits)
-    return SeriesValue(value, err, len(norms), True)
+    return SeriesValue(value, err, 2 * len(norms) + 1, True)
 
 
 def theta_functional_equation_defect(L: HermitianLattice, t, eps: float = 1e-12, ctx: Ctx = DEFAULT_CTX) -> TransformDefect:

@@ -114,13 +114,16 @@ class Place:
 INF = Place.infinite()
 
 
-def ord_p(x, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
-    x = as_fraction(x)
-    if x == 0:
-        raise ValidationError("ord_p of zero is undefined")
-    if not is_prime(p):
-        raise ValidationError(f"ord_p needs a prime, got {p}")
+def _proven_place(p: int) -> Place:
+    """The finite place of a prime that ``factorize`` returned, which it
+    has proven prime; ``Place(p)`` would prove it again."""
+    v = object.__new__(Place)
+    v.p = p
+    return v
+
+
+def _valuation(x: Fraction, p: int) -> int:
+    """Exponent of the prime p in the nonzero rational x."""
     v = 0
     n = x.numerator
     while n % p == 0:
@@ -131,6 +134,16 @@ def ord_p(x, p: int) -> int:
         d //= p
         v -= 1
     return v
+
+
+def ord_p(x, p: int) -> int:
+    """p-adic valuation of a nonzero rational."""
+    x = as_fraction(x)
+    if x == 0:
+        raise ValidationError("ord_p of zero is undefined")
+    if not is_prime(p):
+        raise ValidationError(f"ord_p needs a prime, got {p}")
+    return _valuation(x, p)
 
 
 def abs_v(x, v: Place) -> Fraction:
@@ -145,7 +158,7 @@ def abs_v(x, v: Place) -> Fraction:
         return Fraction(0)
     if not v.is_finite:
         return abs(x)
-    e = ord_p(x, v.p)
+    e = _valuation(x, v.p)  # a Place holds a proven prime
     if e >= 0:
         return Fraction(1, v.p**e)
     return Fraction(v.p ** (-e))
@@ -234,7 +247,7 @@ def product_formula_check(x) -> Fraction:
     # Multiply numerators and denominators as integers and reduce once:
     # one gcd instead of one per place.
     num, den = 1, 1
-    for v in (INF, *map(Place.finite, support(x))):
+    for v in (INF, *map(_proven_place, support(x))):
         a = abs_v(x, v)
         num *= a.numerator
         den *= a.denominator

@@ -1,12 +1,16 @@
 import math
+import operator
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+import adelic.lattice as lattice
 from adelic.errors import CapacityError, PoleError, ValidationError
+from adelic.exact import is_diagonal
 from adelic.lattice import (
     HermitianLattice,
     _ball_rows,
@@ -123,11 +127,21 @@ def test_enumerate_against_box_scan():
         assert got == sorted(expected)
 
 
+def _top_sign(v) -> int:
+    """Sign of the last nonzero coordinate, 0 for the zero vector."""
+    return next((1 if x > 0 else -1 for x in reversed(v) if x), 0)
+
+
+def _half_vectors(L, R2):
+    return [(x,) + above for lo, hi, _, _, above in _ball_rows(L, R2) for x in range(lo, hi + 1)]
+
+
 def test_enumerate_scaled_norms_against_box_scan():
-    """Oracle for the raw enumerator up to rank 4: the vectors of the
-    ball's rows match a box scan, a vector lying exactly on the sphere is
-    kept, and the scaled norms are the exact norms of those vectors in
-    row order."""
+    """Oracle for the raw enumerator up to rank 4: the rows hold one
+    vector of each pair {x, -x} of the box scan's nonzero vectors, the one
+    with a positive top nonzero coordinate, a vector lying exactly on the
+    sphere is kept (itself or its negative), and the scaled norms are the
+    exact norms of the rows' vectors in row order."""
     rng = random.Random(78)
     for _ in range(12):
         d = rng.randint(1, 4)
@@ -148,15 +162,17 @@ def test_enumerate_scaled_norms_against_box_scan():
                 scan(prefix + [k])
 
         scan([])
-        vecs = [(x,) + above for lo, hi, _, _, above in _ball_rows(L, R2) for x in range(lo, hi + 1)]
-        assert len(vecs) == len(set(vecs)) and set(vecs) == expected
-        assert on_sphere in vecs and tuple(-v for v in on_sphere) in vecs
+        vecs = _half_vectors(L, R2)
+        ball = vecs + [tuple(-v for v in x) for x in vecs] + [(0,) * d]
+        assert len(ball) == len(set(ball)) and set(ball) == expected
+        assert all(_top_sign(v) == 1 for v in vecs)
+        assert (on_sphere in vecs) != (tuple(-v for v in on_sphere) in vecs)
         got = _enumerate_scaled(L, R2)
         assert got == [L.norm_sq(v) * L._int_scale for v in vecs]
         # the cap admits a ball of exactly cap vectors and refuses one more
-        assert _enumerate_scaled(L, R2, cap=len(got)) == got
+        assert _enumerate_scaled(L, R2, cap=len(expected)) == got
         with pytest.raises(CapacityError):
-            _enumerate_scaled(L, R2, cap=len(got) - 1)
+            _enumerate_scaled(L, R2, cap=len(expected) - 1)
         R = math.isqrt(math.floor(R2)) + 1
         k = len(enumerate_vectors(L, R))
         assert len(enumerate_vectors(L, R, cap=k)) == k
@@ -165,13 +181,14 @@ def test_enumerate_scaled_norms_against_box_scan():
 
 
 def test_enumerate_scaled_is_norms_of_enumerate_vectors():
-    """The scaled norms come one per vector, in the order of nested loops
-    with x_(d-1) outermost, which is lexicographic on reversed vectors."""
+    """The scaled norms come one per vector with a positive top nonzero
+    coordinate, in the order of nested loops with x_(d-1) outermost, which
+    is lexicographic on reversed vectors."""
     rng = random.Random(80)
     for _ in range(20):
         L = random_lattice(rng, rng.randint(1, 4))
         R = rng.randint(1, 3)
-        vecs = sorted(enumerate_vectors(L, R), key=lambda v: v[::-1])
+        vecs = sorted((v for v in enumerate_vectors(L, R) if _top_sign(v) == 1), key=lambda v: v[::-1])
         assert _enumerate_scaled(L, R * R) == [L.norm_sq(v) * L._int_scale for v in vecs]
 
 
@@ -199,7 +216,8 @@ def test_enumerate_sheared_basis():
 
 def test_enumerate_huge_gram_entry():
     L = HermitianLattice([[10**400, 1], [1, 1]])
-    assert _enumerate_scaled(L, Fraction(1)) == [1, 0, 1]
+    assert _half_vectors(L, Fraction(1)) == [(0, 1)]
+    assert _enumerate_scaled(L, Fraction(1)) == [1]
     assert enumerate_vectors(L, 1) == [(0, -1), (0, 0), (0, 1)]
 
 
@@ -211,12 +229,16 @@ def test_enumerate_partial_vectors_bounded_by_cap():
     with pytest.raises(CapacityError, match="partial vectors"):
         _enumerate_scaled(dual(SHEARED), Fraction(1))
     assert time.perf_counter() - t0 < 1.0
-    # with a milder shear the five vectors come out, but 2001 partial
-    # vectors are visited, so a cap between the two refuses the ball
+    # with a milder shear the five vectors come out (two in the half
+    # ball), but 2001 partial vectors of the whole ball are visited, so a
+    # cap between the two refuses the ball
     L = HermitianLattice([[1 + 10**6, 10**3], [10**3, 1]])
-    assert len(_enumerate_scaled(L, Fraction(1), cap=2001)) == 5
+    assert enumerate_vectors(L, 1, cap=2001) == [(-1, 1000), (0, -1), (0, 0), (0, 1), (1, -1000)]
+    assert len(_enumerate_scaled(L, Fraction(1), cap=2001)) == 2
     with pytest.raises(CapacityError, match="partial vectors"):
         _enumerate_scaled(L, Fraction(1), cap=2000)
+    with pytest.raises(CapacityError, match="partial vectors"):
+        enumerate_vectors(L, 1, cap=2000)
 
 
 def test_enumerate_membership_is_exact():
@@ -254,17 +276,81 @@ def test_theta_scale_identity():
 
 def test_theta_diagonal_matches_dense_path():
     """The rank-one product path and the ball enumeration path evaluate
-    the same series; values must agree within combined bounds."""
-    L = HermitianLattice.diagonal([1, Fraction(1, 4), 2])
-    a = theta(L, 1)
-    # same Gram fed through the dense code path via a tiny off-diagonal
-    # perturbation is not exact; instead compare against mpmath directly
-    ref = mpmath.mpf(0)
-    for x in range(-30, 31):
-        for y in range(-60, 61):
-            for z in range(-25, 26):
-                ref += mpmath.exp(-mpmath.pi * (x * x + y * y / mpmath.mpf(4) + 2 * z * z))
-    assert abs(float(a.value) - float(ref)) < 1e-12
+    the same series; both must match an mpmath sum over a box far past
+    their tails, which factors into three one-dimensional sums.  The
+    dense path runs on the same lattice in the basis U = [[1, 1, 0],
+    [0, 1, 1], [0, 0, 1]] (Gram U^T G U), which is unimodular."""
+    G = HermitianLattice.diagonal([1, Fraction(1, 4), 2])
+    U = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
+    L = HermitianLattice(
+        [[sum(U[k][i] * G.gram[k][k] * U[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    )
+    assert not is_diagonal(L.gram)
+    ref = mpmath.mpf(1)
+    for c, K in ((1, 30), (mpmath.mpf(1) / 4, 60), (2, 25)):
+        ref *= mpmath.fsum(mpmath.exp(-mpmath.pi * c * k * k) for k in range(-K, K + 1))
+    for M in (G, L):
+        assert abs(float(theta(M, 1).value) - float(ref)) < 1e-12
+
+
+def _ball_norms(L, R2):
+    """Scaled norms x^T (c G) x of every vector of the ball |x|^2 <= R2,
+    zero included, read from ``enumerate_vectors`` on a larger ball, in
+    the nested-loop order with x_(d-1) outermost."""
+    c, T = L._int_scale, math.floor(R2 * L._int_scale)
+    A = [[int(g * c) for g in row] for row in L.gram]
+    R = Fraction(math.isqrt(math.floor(R2 * 64**2)) + 1, 64)
+    vecs = sorted(enumerate_vectors(L, R), key=lambda v: v[::-1])
+    norms = (sum(x * sum(map(operator.mul, row, v)) for x, row in zip(v, A)) for v in vecs)
+    return [q for q in norms if q <= T]
+
+
+def test_theta_half_ball_sum_is_bitwise_full_sum(monkeypatch):
+    """theta sums 1 for the zero vector, then one doubled term per pair
+    {x, -x}.  Doubling is exact, so these terms have the same exact sum as
+    one term per vector of the ball, and a sum rounded once from its exact
+    value is the same bits.  math.fsum always rounds once.  mpmath's fsum
+    (``mpf_sum``) adds into an exact integer accumulator man * 2^exp and
+    drops a term only when its leading bit lies more than 2 prec bits
+    below the accumulator's lowest bit, or drops the accumulator when its
+    leading bit lies more than 2 prec bits below the new term's lowest
+    bit.  With every term in [2^(-2 prec), 2] neither can happen in any
+    order (the lowest bit stays <= 0 and the leading bit >= 1 - 2 prec),
+    so the 128-bit sum is exact before its one rounding, too; the test
+    checks that the grid's smallest term is in that range."""
+    radii = []  # the R^2 that theta enumerates
+    enumerate_scaled = lattice._enumerate_scaled
+
+    def recording(L, R2, cap):
+        radii.append(R2)
+        return enumerate_scaled(L, R2, cap)
+
+    monkeypatch.setattr(lattice, "_enumerate_scaled", recording)
+    ctx = Ctx(128)
+    rng = random.Random(81)
+    for _ in range(6):
+        L = random_lattice(rng, rng.randint(2, 4))
+        for M in (L, dual(L)):
+            for t in (Fraction(1, 3), Fraction(1), Fraction(2)):
+                radii.clear()
+                v = theta(M, t)
+                if v.terms_used > 30_000:
+                    continue  # a rank-4 dual at t = 1/3: 0.5-0.75 M vector tuples
+                norms = _ball_norms(M, radii[0])
+                scale = -(math.pi * float(t) / M._int_scale)
+                assert v.value == math.fsum(math.exp(scale * q) for q in norms)
+                assert v.terms_used == len(norms)
+                half = enumerate_scaled(M, radii[0], lattice.ENUM_CAP)
+                assert lattice._norm_multiplicities(half) == sorted(Counter(q for q in norms if q).items())
+                if M.rank > 3:
+                    continue
+                radii.clear()
+                v = theta(M, t, ctx=ctx)
+                scale = -(ctx.pi * ctx.real(t) / M._int_scale)
+                terms = [ctx.exp(scale * q) for q in _ball_norms(M, radii[0])]
+                assert min(terms) >= mpmath.mpf(2) ** (-2 * ctx.bits)
+                assert v.value == ctx.fsum_iter(terms)
+                assert v.terms_used == len(terms)
 
 
 def test_theta_validation():
