@@ -261,7 +261,12 @@ def _enumerate_scaled(L: HermitianLattice, R2: Fraction, cap: int = ENUM_CAP) ->
 def _norm_multiplicities(half_norms) -> list[tuple[int, int]]:
     """(q, number of vectors of scaled norm q) over the nonzero vectors of
     a ball, ascending in q, from the norms of its half ball: x and -x
-    share a norm, so each count is twice the half ball's."""
+    share a norm, so each count is twice the half ball's.
+
+    Only the gamma-term sums of Lambda use it.  They keep this ascending
+    order because the high-precision engine's fsum drops a term lying more
+    than 2 prec bits below its accumulator, so its sum depends on the
+    order; the direct zeta sum is a math.fsum and counts its norms alone."""
     return sorted((q, 2 * m) for q, m in Counter(half_norms).items())
 
 
@@ -524,6 +529,10 @@ def zeta_direct_truncated(
     remainder is approximated by the radial integral
     (surface(d) / vol) * R^(d-s) / (s - d), which leaves an error of
     lower order than the plain truncation.
+
+    The half ball's scaled norms are counted in one Counter and each
+    distinct norm q of m half-ball vectors gives the term 2m |e|^(-s).
+    fsum_c rounds the exact sum once, so the terms need no sorting.
     """
     s = complex(s)
     d = L.rank
@@ -532,11 +541,11 @@ def zeta_direct_truncated(
     Rq = as_fraction(radius)
     if Rq <= 0:
         raise ValidationError("radius must be positive")
-    norms = _norm_multiplicities(_enumerate_scaled(L, Rq * Rq, cap))
+    counts = Counter(_enumerate_scaled(L, Rq * Rq, cap))
     c = L._int_scale
     half = -s / 2.0
-    value = fsum_c([mult * cmath.exp(half * math.log(q / c)) for q, mult in norms])
-    nterms = sum(mult for _, mult in norms)
+    value = fsum_c([2 * m * cmath.exp(half * math.log(q / c)) for q, m in counts.items()])
+    nterms = 2 * counts.total()
     Rf = float(Rq)
     surf = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
     tail_size = (surf / math.sqrt(float(L.det))) * Rf ** (d - s.real) / (s.real - d)

@@ -143,15 +143,17 @@ def upper_G(a: complex, x: float) -> complex:
 
 
 def fsum_c(terms) -> complex:
-    """Exactly-rounded complex sum: independent fsum over real and
-    imaginary parts, so the result is independent of term order."""
-    re = []
-    im = []
-    for t in terms:
-        t = complex(t)
-        re.append(t.real)
-        im.append(t.imag)
-    return complex(math.fsum(re), math.fsum(im))
+    """Exactly-rounded complex sum: one math.fsum over the real parts and
+    one over the imaginary parts.  Each is the exact sum rounded once, so
+    the result does not depend on the order of the terms.
+
+    ``terms`` is any iterable of numbers with ``.real`` and ``.imag`` that
+    convert to float (int, float, complex, Fraction); a list or tuple is
+    read twice in place, and a one-shot iterator is first gathered into a
+    list."""
+    if iter(terms) is terms:
+        terms = list(terms)
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
 def _float_rational_power(q: Fraction, expo: complex):

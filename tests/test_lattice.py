@@ -1,7 +1,9 @@
+import cmath
 import math
 import operator
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -26,7 +28,7 @@ from adelic.lattice import (
     vol,
     zeta_direct_truncated,
 )
-from adelic.numeric import Ctx, gamma_complex, upper_G
+from adelic.numeric import Ctx, fsum_c, gamma_complex, upper_G
 from helpers import random_lattice
 
 Z1 = HermitianLattice.identity(1)
@@ -536,6 +538,105 @@ def test_zeta_direct_identity_rank2():
     direct = zeta_direct_truncated(L, 6, 1000)
     cont = lattice_zeta(L, 6)
     assert abs(complex(direct.value) - complex(cont.value)) < 1e-8
+
+
+def _zeta_direct_reference(L, groups, s, R, tail_correction):
+    """zeta_direct_truncated rebuilt from ``groups``, the (exact norm,
+    number of vectors) pairs of the ball's nonzero vectors in ascending
+    order: each group weighted as mult * exp(...), and a plain math.fsum
+    of real and of imaginary parts."""
+    s = complex(s)
+    d = L.rank
+    terms = [mult * cmath.exp(-s / 2.0 * math.log(q)) for q, mult in groups]
+    value = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    Rf = float(R)
+    surf = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    tail_size = (surf / math.sqrt(float(L.det))) * Rf ** (d - s.real) / (s.real - d)
+    est = tail_size
+    if tail_correction:
+        value = value + (surf / math.sqrt(float(L.det))) * Rf ** complex(d - s.real, -s.imag) / (s - d)
+        est = tail_size * (d / 2.0 + abs(s) / 2.0 + 1.0) / (math.pi * Rf * Rf)
+    return value, est, sum(mult for _, mult in groups)
+
+
+def test_zeta_direct_bitwise_matches_grouped_reference():
+    """The direct sum counts half-ball norms in insertion order; math.fsum
+    rounds the exact sum once, so it equals the sorted whole-ball sum to
+    the bit.  R = 1/2 holds only the zero vector: random_lattice's Gram is
+    diagonally dominant by 1/2, so every nonzero |e|^2 >= 1/2 > R^2."""
+    rng = random.Random(1313)
+    for _ in range(24):
+        d = rng.randint(1, 3)
+        L = random_lattice(rng, d)
+        for R in (Fraction(1, 2), Fraction(7, 3), {1: 300, 2: 40, 3: 9}[d]):
+            groups = sorted(Counter(L.norm_sq(v) for v in enumerate_vectors(L, R) if any(v)).items())
+            for s in (d + 0.5, d + 2.0, complex(d + 1.25, -3.5)):
+                for tc in (False, True):
+                    got = zeta_direct_truncated(L, s, R, tail_correction=tc)
+                    value, est, nterms = _zeta_direct_reference(L, groups, s, R, tc)
+                    assert complex(got.value) == value
+                    assert got.error_bound == est
+                    assert got.terms_used == nterms
+                    if R == Fraction(1, 2):
+                        assert nterms == 0
+
+
+def _split_fsum_c(terms):
+    """Reference complex sum: every term converted by complex(t), its parts
+    copied into two lists, and each list summed by math.fsum."""
+    re, im = [], []
+    for t in map(complex, terms):
+        re.append(t.real)
+        im.append(t.imag)
+    return complex(math.fsum(re), math.fsum(im))
+
+
+def _same_bits(a: complex, b: complex) -> bool:
+    return a == b and all(math.copysign(1.0, x) == math.copysign(1.0, y) for x, y in ((a.real, b.real), (a.imag, b.imag)))
+
+
+def test_fsum_c_reads_parts_in_place():
+    rng = random.Random(77)
+    makers = (
+        lambda: rng.randint(-(10**18), 10**18),
+        lambda: rng.uniform(-1, 1) * 10.0 ** rng.randint(-30, 30),
+        lambda: complex(rng.uniform(-9, 9), rng.choice((0.0, -0.0, rng.uniform(-9, 9)))),
+        lambda: Fraction(rng.randint(-999, 999), rng.randint(1, 997)),
+        lambda: rng.choice((0.0, -0.0, 0)),
+        lambda: complex(rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0))),
+    )
+    for _ in range(300):
+        terms = [rng.choice(makers)() for _ in range(rng.randint(0, 30))]
+        want = _split_fsum_c(terms)
+        assert _same_bits(fsum_c(terms), want)
+        assert _same_bits(fsum_c(tuple(terms)), want)
+        assert _same_bits(fsum_c(t for t in terms), want)
+        assert _same_bits(fsum_c(iter(terms)), want)
+        rng.shuffle(terms)
+        assert fsum_c(terms) == want
+    for zeros in ([-0.0], [complex(-0.0, -0.0)], [-0.0, complex(0.0, -0.0)], [0, -0.0], []):
+        assert _same_bits(fsum_c(zeros), _split_fsum_c(zeros))
+        assert _same_bits(fsum_c(iter(zeros)), _split_fsum_c(zeros))
+
+
+def test_zeta_direct_peak_memory_per_vector():
+    """The rank-2 check-04 lattice with the largest ball at R = 400 sets
+    the zeta_cont workload's peak memory.  Counting its half-ball norms in
+    one Counter peaks at about 103 B per half-ball vector under
+    tracemalloc; sorting (norm, multiplicity) tuples and copying every
+    term into part lists peaked at about 192 B."""
+    rng = random.Random(20260822)
+    ranks = [1 if i < 12 else 2 for i in range(20)]
+    rank2 = [L for L in (random_lattice(rng, d) for d in ranks) if L.rank == 2]
+    n, L = max(((len(_enumerate_scaled(L, Fraction(400**2))), L) for L in rank2), key=lambda p: p[0])
+    assert n > 150_000
+    tracemalloc.start()
+    try:
+        zeta_direct_truncated(L, 4.0, 400, tail_correction=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 150, f"{peak / n:.0f} B per half-ball vector"
 
 
 def test_zeta_direct_validation():
