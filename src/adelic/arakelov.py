@@ -216,8 +216,8 @@ def _height_classes(spec: ArakelovSeriesSpec, eps: float, ctx: Ctx, cap: int) ->
     roundoff allowance.  A ProjPoint is built only for a class
     representative, or to ask the spec's point filter.
     """
-    if not eps > 0.0:
-        raise ValidationError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValidationError("eps must be positive and finite")
     keep = spec.point_filter
     members: list[tuple[int, list]] = []
     for h2, a, b in _canonical_pairs(spec.cutoff, spec.arch):

@@ -902,8 +902,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else 0
     try:
-        if not args.eps > 0:
-            raise ValidationError(f"eps must be > 0, got {args.eps!r}")
+        if not 0 < args.eps < math.inf:
+            raise ValidationError(f"eps must be > 0 and finite, got {args.eps!r}")
         ctx = Ctx(args.precision_bits)
         if args.selftest:
             return _selftest()

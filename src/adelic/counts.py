@@ -92,11 +92,13 @@ class AsymptoticFit:
 
 
 def _as_bound(x, name: str) -> Fraction:
+    """A height bound or threshold as an exact rational; anything that is
+    not one (a string that does not parse, nan, an infinity) is a
+    ValidationError."""
     try:
-        q = Fraction(x)
-    except (TypeError, ValueError):
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{name} must be a rational number, got {x!r}") from None
-    return q
 
 
 def _check_bundle(n: int, B: MetrizedLineBundle) -> None:

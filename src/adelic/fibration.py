@@ -21,6 +21,7 @@ from math import isqrt
 from operator import itemgetter
 
 from .arakelov import _canonical_pairs
+from .counts import _as_bound
 from .errors import CapacityError, ValidationError
 from .exact import int_root, sqrt_or_float
 from .heights import ArchKind, ProjPoint, canonical_vectors
@@ -233,7 +234,7 @@ def enumerate_Fn(Y: HirzebruchSurface, c: FibrationLineClass, arch, H_bound, cap
     J = twisted_degree(Y, c)
     if k < 1 or J < 1:
         raise ValidationError("enumeration needs fiber degree >= 1 and twisted base degree >= 1")
-    bound = Fraction(H_bound)
+    bound = _as_bound(H_bound, "H_bound")
     if bound < 1:
         return []
     budgets, total = [], 0

@@ -370,8 +370,8 @@ def theta(L: HermitianLattice, t, eps: float = 1e-12, ctx: Ctx = DEFAULT_CTX, ca
     tq = as_fraction(t)
     if tq <= 0:
         raise ValidationError("theta needs t > 0")
-    if not (eps > 0):
-        raise ValidationError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValidationError("eps must be positive and finite")
     if eps < 1e-250:
         raise ValidationError("eps below 1e-250 is not supported")
     d = L.rank
@@ -413,7 +413,7 @@ def theta(L: HermitianLattice, t, eps: float = 1e-12, ctx: Ctx = DEFAULT_CTX, ca
     # rounds it once; so does the high-precision engine's fsum while every
     # term is >= 2^(-2 prec): it drops a term only past 2 prec bits below
     # its accumulator
-    value = ctx.fsum_iter(chain((ctx.one,), (2 * exp(scale * q) for q in norms)))
+    value = ctx.fsum(chain((ctx.one,), (2 * exp(scale * q) for q in norms)))
     err = tail + _roundoff_allowance(float(value), ctx.bits)
     return SeriesValue(value, err, 2 * len(norms) + 1, True)
 
@@ -485,8 +485,8 @@ def completed_lambda(L: HermitianLattice, s, eps: float = 1e-12, ctx: Ctx = DEFA
     d = L.rank
     if s == 0 or s == complex(d):
         raise PoleError(f"Lambda has a pole at s = {s}")
-    if not (eps > 0):
-        raise ValidationError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValidationError("eps must be positive and finite")
     sv_f = float(L.det) ** 0.25  # sqrt of the covolume
     Ld = dual(L)
     a1 = s / 2.0

@@ -192,9 +192,8 @@ class Ctx:
     - ``pi``, ``one``: constants
     - ``exp(u)``, ``power(b, e)``: elementary functions
     - ``pi_power(z)``: pi^z for complex z
-    - ``fsum_iter(terms)``: sum of any iterable, consumed as it is
-      produced, for sums too long to hold as a list; the other sums take
-      lists, whose length a tracer can count
+    - ``fsum(terms)``, ``fsum_complex(terms)``: exactly rounded sums of
+      any iterable, a generator consumed as it is produced
     - ``fsum_mixed(terms)``: sum of real or complex terms; IEEE double
       gives a float when the imaginary part sums to exactly 0, mpmath a
       complex value whenever a term is complex
@@ -213,7 +212,6 @@ class Ctx:
             self.exp = math.exp
             self.power = pow
             self.pi_power = _float_pi_power
-            self.fsum_iter = math.fsum
             self.fsum_mixed = _float_fsum_mixed
             self.decimal = _float_decimal
             self._rational_power = _float_rational_power
@@ -261,7 +259,6 @@ class Ctx:
         self.exp = mp.exp
         self.power = mp.power
         self.pi_power = mp_pi_power
-        self.fsum_iter = mp.fsum
         self.fsum_mixed = mp.fsum
         self.decimal = mp_decimal
         self._rational_power = mp_rational_power

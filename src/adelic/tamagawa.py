@@ -6,7 +6,10 @@ The number is assembled from three layers:
   of p-adic volume, renormalized by convergence factors coming from the
   local zeta factor of the Picard lattice;
 - the archimedean density of the anticanonical metric: exact piecewise
-  integration for the sup metric on P^n, adaptive quadrature otherwise;
+  integration for the sup metric on P^n, an adaptive radial quadrature
+  for the Euclidean metric on P^n, and for a Hirzebruch surface one
+  adaptive quadrature over the base with the fiber integral in closed
+  form, so every twist F_n gets 16 (sup) or pi^2 (Euclidean);
 - the leading coefficient at s = 1 of the partial Picard L-function for
   the chosen exceptional place set, an exact rational.
 
@@ -26,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counts import count_table, fit_asymptotics
+from .counts import _as_bound, count_table, fit_asymptotics
 from .errors import CapacityError, QuadratureError, ValidationError, brief
 from .exact import int_root
 from .fibration import HirzebruchSurface
@@ -168,6 +171,18 @@ def _box_density_exact(n: int) -> int:
     return 2**n * (n + 1)
 
 
+def _half_line(f, epsabs):
+    """Integral of f over [0, inf) as the panels [0, 1] and [1, inf),
+    each to epsabs: (value, summed error estimate)."""
+    total = 0.0
+    err = 0.0
+    for a, b in ((0.0, 1.0), (1.0, _INF)):
+        v, e = _quad_panel(f, a, b, epsabs)
+        total += v
+        err += e
+    return total, err
+
+
 def _pn_l2_density(n: int, quad_eps: float):
     # Rotation invariance reduces the chart integral of
     # (1 + |x|^2)^(-(n+1)/2) to a radial one; the sphere area factor is
@@ -177,14 +192,7 @@ def _pn_l2_density(n: int, quad_eps: float):
     def f(r):
         return r ** (n - 1) * (1.0 + r * r) ** (-(n + 1) / 2.0)
 
-    cuts = (0.0, 1.0, _INF)
-    per = quad_eps / (omega * len(cuts) * 2.0)
-    total = 0.0
-    err = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        v, e = _quad_panel(f, a, b, per)
-        total += v
-        err += e
+    total, err = _half_line(f, quad_eps / (omega * 6.0))
     value = omega * total
     achieved = omega * err
     if achieved > quad_eps:
@@ -194,52 +202,22 @@ def _pn_l2_density(n: int, quad_eps: float):
     return value, achieved
 
 
-def _fn_density(surface: HirzebruchSurface, arch: ArchKind, quad_eps: float):
-    n = surface.n
-    if n >= 3:
-        # The fiber-base quadrature misses for n >= 3 while reporting an
-        # error near 1e-10: F3 and F4 read 15.966 and 15.889 under the
-        # max metric (exact 16) and 9.833 and 9.758 under the Euclidean
-        # metric (exact pi^2).
-        raise QuadratureError(
-            f"the archimedean density of F{n} is not available: the "
-            "fiber-base quadrature is inaccurate for n >= 3 while its "
-            "error estimate stays small")
-    # Iterated quadrature: for each base coordinate u the fiber integral
-    # uses the twisted gauge max(1, |z| / N^n) resp. (1 + z^2/N^2n)^(1/2)
-    # with N the base gauge, then the base integral weights by N^-(n+2).
-    # Fiber tolerances scale with the twist so their weighted total is
-    # bounded by 4 * inner_eps (the base weight integrates to < 4).
-    inner_eps = quad_eps / 64.0
-    outer_eps = quad_eps / 16.0
-    is_max = arch is ArchKind.MAX
-
-    def base_gauge(u):
-        return max(1.0, abs(u)) if is_max else math.hypot(1.0, u)
-
-    def fiber_integral(u):
-        T = base_gauge(u) ** n
-        eps_call = inner_eps * max(1.0, T) / 2.0
-        if is_max:
-            v1, _ = _quad_panel(lambda z: 1.0, 0.0, T, eps_call)
-            v2, _ = _quad_panel(lambda z: (T / z) ** 2, T, _INF, eps_call)
-        else:
-            v1, _ = _quad_panel(lambda z: 1.0 / (1.0 + (z / T) ** 2), 0.0, T, eps_call)
-            v2, _ = _quad_panel(lambda z: 1.0 / (1.0 + (z / T) ** 2), T, _INF, eps_call)
-        return 2.0 * (v1 + v2)
-
-    def g(u):
-        return fiber_integral(u) / base_gauge(u) ** (n + 2)
-
-    cuts = (0.0, 1.0, _INF)
-    total = 0.0
-    outer_err = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        v, e = _quad_panel(g, a, b, outer_eps)
-        total += v
-        outer_err += e
+def _fn_density(arch: ArchKind, quad_eps: float):
+    # Over a base coordinate u with gauge N(u), the fiber gauge is twisted
+    # by T = N^n, and the fiber integral has the closed form 4T under the
+    # max metric and pi T under the Euclidean one.  The base weight is
+    # N^-(n+2), so the twist cancels and the density is 2 * int_0^inf
+    # c / N(u)^2 du for every n: 16 resp. pi^2.  The quad_eps / 16 term
+    # covers the rounding of the closed-form integrand (about 1e-14).
+    if arch is ArchKind.MAX:
+        def g(u):
+            return 4.0 / max(1.0, u) ** 2
+    else:
+        def g(u):
+            return math.pi / math.hypot(1.0, u) ** 2
+    total, err = _half_line(g, quad_eps / 16.0)
     value = 2.0 * total
-    achieved = 2.0 * outer_err + 4.0 * inner_eps
+    achieved = 2.0 * err + quad_eps / 16.0
     if achieved > quad_eps:
         raise QuadratureError(
             f"fiber-base quadrature achieved {achieved:.3e}, wanted {quad_eps:.3e}",
@@ -256,15 +234,17 @@ def _archimedean_density_err(variety, arch, quad_eps):
         if arch is ArchKind.MAX:
             return float(_box_density_exact(variety.n)), 0.0
         return _pn_l2_density(variety.n, quad_eps)
-    return _fn_density(variety, arch, quad_eps)
+    return _fn_density(arch, quad_eps)
 
 
 def archimedean_density(variety, arch, quad_eps: float = 1e-9) -> float:
     """Archimedean density of the anticanonical metric.
 
     P^n sup metric: exact piecewise value 2^n (n + 1).  P^n Euclidean:
-    adaptive radial quadrature to ``quad_eps``.  Hirzebruch surfaces:
-    iterated fiber-base quadrature with the twisted fiber gauge.
+    adaptive radial quadrature to ``quad_eps``.  Hirzebruch surface F_n:
+    the fiber integral in closed form, after which the twist cancels and
+    one base quadrature to ``quad_eps`` gives 16 (sup) or pi^2
+    (Euclidean) for every n.
     """
     value, _ = _archimedean_density_err(variety, arch, quad_eps)
     return value
@@ -379,7 +359,7 @@ def peyre_constant_check(n: int, prime_cutoff: int, H_bound,
     spec = TamagawaSpec(Pn(n), arch, prime_cutoff)
     tau = tamagawa_number(spec, quad_eps)
     predicted = tau.value / (n + 1)
-    bound = Fraction(H_bound)
+    bound = _as_bound(H_bound, "H_bound")
     r_max = int_root(bound, n + 1)
     if r_max < 300:
         raise ValidationError(

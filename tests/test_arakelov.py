@@ -36,6 +36,14 @@ def test_spec_validation():
     assert spec.rank == 2
 
 
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0])
+def test_non_finite_eps_refused(eps):
+    spec = ArakelovSeriesSpec((1,), s=2, cutoff=3)
+    for fn in (arakelov_L_partial, arakelov_term_rows, arakelov_series_and_rows):
+        with pytest.raises(ValidationError, match="eps"):
+            fn(spec, eps)
+
+
 def test_base_points_small_listing():
     pts = base_points_by_height(2)
     coords = [tuple(int(c) for c in p.coords) for p in pts]

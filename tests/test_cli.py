@@ -201,10 +201,24 @@ def test_twist_prime_beyond_proven_range_refused(tmp_path):
         assert elapsed < 1.0
 
 
-def test_tamagawa_surface_beyond_two_refused():
+def test_tamagawa_surface_beyond_two():
     rc, out, err = run(["tamagawa", "--variety", "F3", "--cutoff", "1000"])
-    assert rc == 3 and out == ""
-    assert err.startswith("error: capacity:") and "F3" in err
+    assert rc == 0 and err == ""
+    report = json.loads(out)
+    assert report["variety"] == "F3" and report["archimedean_density"] == 16.0
+    rc, out2, _ = run(["tamagawa", "--variety", "F2", "--cutoff", "1000"])
+    assert rc == 0 and json.loads(out2)["tau"] == report["tau"]
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_eps_refused(value):
+    for argv in (
+        ["--eps", value, "lattice", "theta", "--gram", "I1", "--t", "1"],
+        ["--eps", value, "arakelov", "--cutoff", "3", "--s", "2"],
+    ):
+        rc, out, err = run(argv)
+        assert rc == 2 and out == "", argv
+        assert err.startswith("error: validation: eps") and err.count("\n") == 1, argv
 
 
 def test_bad_flags_exit_code():

@@ -109,6 +109,18 @@ def test_count_table_examples_and_backends():
         assert count_Pn(1, O2, N**2) == count_Pn(1, O1_MAX, N)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "abc", 1j])
+def test_malformed_bounds_refused(bad):
+    with pytest.raises(ValidationError, match="H_bound"):
+        count_Pn(1, O1_MAX, bad)
+    with pytest.raises(ValidationError, match="H_bound"):
+        enumerate_Pn(1, O1_L2, bad)
+    with pytest.raises(ValidationError, match="threshold"):
+        count_table(1, O1_MAX, [2, bad])
+    with pytest.raises(ValidationError, match="H_bound"):
+        height_zeta_partial(1, O1_MAX, 2, bad)
+
+
 def test_count_table_validation():
     with pytest.raises(ValidationError):
         count_table(1, O1_MAX, [])

@@ -354,6 +354,12 @@ def test_enumeration_validation_and_capacity():
         enumerate_Fn(Y1, FibrationLineClass(1, 0, 1), ArchKind.MAX, 50, cap=10)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), "abc", 1j])
+def test_enumeration_malformed_bound_refused(bad):
+    with pytest.raises(ValidationError, match="H_bound"):
+        enumerate_Fn(HirzebruchSurface(1), FibrationLineClass(1, 0, 1), ArchKind.MAX, bad)
+
+
 @pytest.mark.parametrize(
     "n, arch, total",
     [

@@ -351,7 +351,7 @@ def test_theta_half_ball_sum_is_bitwise_full_sum(monkeypatch):
                 scale = -(ctx.pi * ctx.real(t) / M._int_scale)
                 terms = [ctx.exp(scale * q) for q in _ball_norms(M, radii[0])]
                 assert min(terms) >= mpmath.mpf(2) ** (-2 * ctx.bits)
-                assert v.value == ctx.fsum_iter(terms)
+                assert v.value == ctx.fsum(terms)
                 assert v.terms_used == len(terms)
 
 
@@ -362,6 +362,16 @@ def test_theta_validation():
         theta(Z1, -2)
     with pytest.raises(ValidationError):
         theta(Z1, 1, eps=0.0)
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan, -1.0])
+def test_non_finite_eps_refused(eps):
+    with pytest.raises(ValidationError, match="eps"):
+        theta(Z1, 1, eps=eps)
+    with pytest.raises(ValidationError, match="eps"):
+        theta(HermitianLattice([[2, 1], [1, 2]]), 1, eps=eps)
+    with pytest.raises(ValidationError, match="eps"):
+        completed_lambda(Z1, 0.5, eps=eps)
 
 
 def test_theta_functional_equation_random():
