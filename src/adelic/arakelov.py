@@ -36,6 +36,9 @@ from .lattice import (
     ENUM_CAP,
     HermitianLattice,
     SeriesValue,
+    _ball_rows,
+    _lambda_radius,
+    _lambda_sides,
     _roundoff_allowance,
     lattice_zeta,
     theta,
@@ -214,7 +217,11 @@ def _height_classes(spec: ArakelovSeriesSpec, eps: float, ctx: Ctx, cap: int) ->
     Each theta or zeta factor is evaluated to eps divided by the number
     of points, so the total reported error bound stays below eps plus the
     roundoff allowance.  A ProjPoint is built only for a class
-    representative, or to ask the spec's point filter.
+    representative, or to ask the spec's point filter.  With the zeta
+    integrand every class's two Lambda balls are counted by
+    ``_ball_rows`` before the first class is evaluated, so a class over
+    the cap is refused at once, with the error the evaluation would
+    raise when it reached that class.
     """
     if not 0 < eps < math.inf:
         raise ValidationError("eps must be positive and finite")
@@ -228,11 +235,16 @@ def _height_classes(spec: ArakelovSeriesSpec, eps: float, ctx: Ctx, cap: int) ->
         else:
             members.append((h2, [(a, b)]))
     per_eps = eps / max(1, sum(len(pts) for _, pts in members))
+    lattices = [restrict_bundle_sum(spec.bundle_degrees, ProjPoint(pts[0]), spec.arch) for _, pts in members]
+    if spec.phi_kind is PhiKind.ZETA:
+        # phi evaluates a repeated restriction once, so it is counted once
+        for L in dict.fromkeys(lattices):
+            for M, a, _, eps_side in _lambda_sides(L, spec.rank * spec.s, per_eps):
+                _ball_rows(M, _lambda_radius(M, a, eps_side), cap)
     phi = _phi_factory(spec, per_eps, ctx, cap)
     half_s = spec.s / 2
     out = []
-    for h2, pts in members:
-        L = restrict_bundle_sum(spec.bundle_degrees, ProjPoint(pts[0]), spec.arch)
+    for (h2, pts), L in zip(members, lattices):
         val, err = phi(L)
         w = ctx.rational_power(L.det, half_s)
         term = val * w

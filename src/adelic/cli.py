@@ -8,6 +8,11 @@ wraps the same data in a single versioned JSON object.
 
 Exit codes: 0 success, 2 rejected input (one machine parsable line on
 stderr), 3 capacity or quadrature budget exceeded.
+
+Importing this module loads only the parser, ``adelic.errors`` and
+``adelic.numeric``; each handler, parse helper and selftest suite
+imports the library modules it runs, so a command loads no layer it
+does not use.
 """
 
 from __future__ import annotations
@@ -20,37 +25,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .arakelov import (
-    ArakelovSeriesSpec,
-    arakelov_series_and_rows,
-    grouped_series_coefficients,
-    theta_duality_defect,
-)
-from .counts import count_Pn, count_table, enumerate_Pn, fit_asymptotics, height_zeta_partial, render_count_csv
 from .errors import CapacityError, QuadratureError, ValidationError
-from .fibration import (
-    FibrationLineClass,
-    FnPoint,
-    HirzebruchSurface,
-    anticanonical_class,
-    character_shift_invariance,
-    enumerate_Fn,
-    height_Fn,
-    height_Fn_raw,
-    height_Fn_sq,
-)
-from .heights import ArchKind, MetrizedLineBundle, ProjPoint, Section, height_point, height_point_sq
-from .lattice import (
-    HermitianLattice,
-    completed_lambda,
-    lattice_zeta,
-    theta,
-    theta_functional_equation_defect,
-)
 from .numeric import Ctx
-from .places import INF, Place, euler_phi, product_formula_check
-from .tamagawa import Pn, TamagawaSpec, peyre_constant_check, tamagawa_number, tamagawa_report
-from .twist import AdelicGroupElement, compare_twisted, twisted_height, twisted_height_sq
 
 SCHEMA_VERSION = 1
 
@@ -178,6 +154,8 @@ def _take_matrix(tokens: list[str], pos: int, d: int, path: str) -> tuple[tuple,
 
 def parse_gram(spec: str) -> HermitianLattice:
     """I<d> shorthand, diag:a,b,... shorthand, or a Gram file path."""
+    from .lattice import HermitianLattice
+
     spec = spec.strip()
     m = re.fullmatch(r"I(\d+)", spec)
     if m:
@@ -197,6 +175,9 @@ def parse_gram(spec: str) -> HermitianLattice:
 
 def parse_element_file(path: str, size: int) -> AdelicGroupElement:
     """Twist description file to a group element of the given matrix size."""
+    from .places import INF, Place
+    from .twist import AdelicGroupElement
+
     tokens = _tokens_from_file(path)
     d, pos = _take_rank(tokens, 0, path)
     if d != size:
@@ -226,6 +207,9 @@ def parse_element_file(path: str, size: int) -> AdelicGroupElement:
 
 
 def _parse_variety(text: str):
+    from .fibration import HirzebruchSurface
+    from .tamagawa import Pn
+
     m = re.fullmatch(r"([PF])(\d+)", text.strip().upper())
     if not m:
         raise ValidationError(f"variety must look like P1, P2 or F0, F1, ..., got {text!r}")
@@ -316,6 +300,8 @@ def _pair_str(pair) -> str:
 
 
 def _cmd_height(args, ctx: Ctx):
+    from .heights import ArchKind, MetrizedLineBundle, ProjPoint, height_point, height_point_sq
+
     B = MetrizedLineBundle(args.n, args.m, ArchKind.parse(args.arch))
     coords = [_parse_fraction(c, "coordinate") for c in args.coords]
     if len(coords) != args.n + 1:
@@ -328,6 +314,9 @@ def _cmd_height(args, ctx: Ctx):
 
 
 def _cmd_twist(args, ctx: Ctx):
+    from .heights import ArchKind, MetrizedLineBundle, ProjPoint, Section
+    from .twist import compare_twisted, twisted_height, twisted_height_sq
+
     B = MetrizedLineBundle(args.n, args.m, ArchKind.parse(args.arch))
     coords = [_parse_fraction(c, "coordinate") for c in args.coords]
     if len(coords) != args.n + 1:
@@ -361,6 +350,8 @@ def _cmd_twist(args, ctx: Ctx):
 
 
 def _cmd_lattice(args, ctx: Ctx):
+    from .lattice import completed_lambda, lattice_zeta, theta, theta_functional_equation_defect
+
     L = parse_gram(args.gram)
     if args.lattice_op == "theta":
         t = _parse_fraction(args.t, "--t")
@@ -395,7 +386,10 @@ def _cmd_lattice(args, ctx: Ctx):
 
 
 def _cmd_arakelov(args, ctx: Ctx):
-    degrees = tuple(_parse_int_list(args.degrees, "--degrees"))
+    from .arakelov import ArakelovSeriesSpec, arakelov_series_and_rows, grouped_series_coefficients, theta_duality_defect
+    from .heights import ArchKind
+
+    degrees =tuple(_parse_int_list(args.degrees, "--degrees"))
     s = _parse_scalar(args.s, "--s")
     spec = ArakelovSeriesSpec(
         bundle_degrees=degrees,
@@ -461,10 +455,14 @@ def _cmd_arakelov(args, ctx: Ctx):
 
 
 def _count_bundle(args) -> MetrizedLineBundle:
+    from .heights import ArchKind, MetrizedLineBundle
+
     return MetrizedLineBundle(args.n, args.m, ArchKind.parse(args.arch))
 
 
 def _cmd_count(args, ctx: Ctx):
+    from .counts import count_Pn, count_table, enumerate_Pn, render_count_csv
+
     B = _count_bundle(args)
     if args.table is not None:
         thresholds = _parse_fraction_list(args.table, "--table")
@@ -489,6 +487,8 @@ def _cmd_count(args, ctx: Ctx):
 
 
 def _cmd_zeta(args, ctx: Ctx):
+    from .counts import height_zeta_partial
+
     B = _count_bundle(args)
     s = _parse_scalar(args.s, "--s")
     bound = _parse_fraction(args.H, "--H")
@@ -505,6 +505,8 @@ def _cmd_zeta(args, ctx: Ctx):
 
 
 def _cmd_fit(args, ctx: Ctx):
+    from .counts import count_table, fit_asymptotics, render_count_csv
+
     B = _count_bundle(args)
     thresholds = _parse_fraction_list(args.thresholds, "--thresholds")
     table = count_table(args.n, B, thresholds, method=args.method)
@@ -532,6 +534,9 @@ def _cmd_fit(args, ctx: Ctx):
 
 
 def _fibration_args(args) -> tuple[HirzebruchSurface, FibrationLineClass, ArchKind]:
+    from .fibration import FibrationLineClass, HirzebruchSurface
+    from .heights import ArchKind
+
     Y = HirzebruchSurface(args.n)
     k, w, j = (_parse_int_list(args.cls, "--cls") + [None] * 3)[:3]
     if j is None:
@@ -540,6 +545,16 @@ def _fibration_args(args) -> tuple[HirzebruchSurface, FibrationLineClass, ArchKi
 
 
 def _cmd_hirzebruch(args, ctx: Ctx):
+    from .fibration import (
+        FnPoint,
+        HirzebruchSurface,
+        anticanonical_class,
+        character_shift_invariance,
+        enumerate_Fn,
+        height_Fn,
+        height_Fn_sq,
+    )
+
     if args.fib_op == "anticanonical":
         Y = HirzebruchSurface(args.n)
         c = anticanonical_class(Y)
@@ -596,7 +611,10 @@ def _cmd_hirzebruch(args, ctx: Ctx):
 
 
 def _cmd_tamagawa(args, ctx: Ctx):
-    variety = _parse_variety(args.variety)
+    from .heights import ArchKind
+    from .tamagawa import Pn, TamagawaSpec, peyre_constant_check, tamagawa_report
+
+    variety =_parse_variety(args.variety)
     if args.peyre_check:
         if not isinstance(variety, Pn):
             raise ValidationError("--peyre-check needs a projective space variety (P1 or P2)")
@@ -636,7 +654,9 @@ def _cmd_tamagawa(args, ctx: Ctx):
 
 
 def _st_product_formula():
-    rng = random.Random(20260822)
+    from .places import product_formula_check
+
+    rng =random.Random(20260822)
     for _ in range(500):
         num = rng.randint(-(10**6), 10**6)
         den = rng.randint(1, 10**6)
@@ -648,6 +668,8 @@ def _st_product_formula():
 
 
 def _st_theta_functional_equation():
+    from .lattice import HermitianLattice, theta_functional_equation_defect
+
     lattices = [
         HermitianLattice.identity(1),
         HermitianLattice.diagonal([2, 3]),
@@ -661,7 +683,9 @@ def _st_theta_functional_equation():
 
 
 def _st_lambda_special_value():
-    sv = completed_lambda(HermitianLattice.identity(1), 2.0, 1e-12)
+    from .lattice import HermitianLattice, completed_lambda
+
+    sv =completed_lambda(HermitianLattice.identity(1), 2.0, 1e-12)
     err = abs(complex(sv.value) - math.pi / 3)
     if err > 1e-10:
         raise AssertionError(f"lambda at s=2 off by {err:.3e}")
@@ -673,7 +697,11 @@ def _st_lambda_special_value():
 
 
 def _st_twist_consistency():
-    rng = random.Random(7)
+    from .heights import ArchKind, MetrizedLineBundle, ProjPoint, Section, height_point_sq
+    from .places import INF, Place
+    from .twist import AdelicGroupElement, compare_twisted, twisted_height_sq
+
+    rng =random.Random(7)
     B = MetrizedLineBundle(1, 1, ArchKind.MAX)
     for _ in range(20):
         x = ProjPoint([rng.randint(1, 9), rng.randint(-9, 9)])
@@ -695,7 +723,11 @@ def _st_twist_consistency():
 
 
 def _st_arakelov_grouped():
-    rows = grouped_series_coefficients(25, (1,), ArchKind.MAX, 2.5, 1e-12)
+    from .arakelov import ArakelovSeriesSpec, grouped_series_coefficients, theta_duality_defect
+    from .heights import ArchKind
+    from .places import euler_phi
+
+    rows =grouped_series_coefficients(25, (1,), ArchKind.MAX, 2.5, 1e-12)
     for r in rows:
         want = 4 if r.height == 1 else 4 * euler_phi(r.height)
         if r.count != want:
@@ -707,7 +739,10 @@ def _st_arakelov_grouped():
 
 
 def _st_count_consistency():
-    for n, arch, bound in ((1, ArchKind.MAX, 30), (1, ArchKind.L2, 15), (2, ArchKind.MAX, 6)):
+    from .counts import count_Pn, enumerate_Pn, height_zeta_partial
+    from .heights import ArchKind, MetrizedLineBundle
+
+    for n,arch, bound in ((1, ArchKind.MAX, 30), (1, ArchKind.L2, 15), (2, ArchKind.MAX, 6)):
         B = MetrizedLineBundle(n, 1, arch)
         sieve = count_Pn(n, B, bound)
         listed = len(enumerate_Pn(n, B, bound))
@@ -720,7 +755,10 @@ def _st_count_consistency():
 
 
 def _st_fibration_shift():
-    rng = random.Random(11)
+    from .fibration import FibrationLineClass, FnPoint, HirzebruchSurface, character_shift_invariance, height_Fn, height_Fn_raw
+    from .heights import ArchKind
+
+    rng =random.Random(11)
     for _ in range(100):
         Y = HirzebruchSurface(rng.randint(0, 2))
         c = FibrationLineClass(rng.randint(0, 3), rng.randint(-2, 2), rng.randint(-2, 2))
@@ -747,7 +785,9 @@ def _st_fibration_shift():
 
 
 def _st_tamagawa_stability():
-    t1 = tamagawa_number(TamagawaSpec(variety=Pn(1), prime_cutoff=200))
+    from .tamagawa import Pn, TamagawaSpec, tamagawa_number
+
+    t1 =tamagawa_number(TamagawaSpec(variety=Pn(1), prime_cutoff=200))
     t2 = tamagawa_number(TamagawaSpec(variety=Pn(1), prime_cutoff=400))
     if abs(t1.value - t2.value) > t1.error_estimate + t2.error_estimate:
         raise AssertionError("doubling the prime cutoff moved tau outside the stated budget")

@@ -436,18 +436,21 @@ def theta_functional_equation_defect(L: HermitianLattice, t, eps: float = 1e-12,
 # -- completed Lambda and zeta ----------------------------------------
 
 
-def _lambda_radius(d: int, re_a_max: float, eps_side: float, lam_lb: float) -> float:
-    """Truncation radius for a sum of G(a, pi q) terms with tail < eps_side.
+def _lambda_radius(L: HermitianLattice, a: complex, eps_side: float) -> Fraction:
+    """Truncation radius R^2 of the sum of G(a, pi |e|^2) over L, with
+    tail < eps_side: the ball that ``_gamma_term_sum`` sums over.
 
     Uses |G(a, x)| <= 2 e^(-x) / x valid for x >= max(2, 2 Re(a) - 2), then
     the theta tail bound at t = 1.
     """
-    x_min = max(2.0, 2.0 * re_a_max - 2.0)
+    d = L.rank
+    lam_lb = float(_lambda_min_lower(L))
+    x_min = max(2.0, 2.0 * a.real - 2.0)
     R2 = max(x_min / math.pi, d / (2.0 * math.pi), 1.0)
     while True:
         bound = (2.0 / (math.pi * R2)) * _theta_tail_bound(d, 1.0, R2, lam_lb)
         if bound < eps_side and math.pi * R2 >= x_min:
-            return R2
+            return Fraction(R2)
         R2 *= 4.0
         if R2 > 1e18:
             raise CapacityError("Lambda truncation radius diverged")
@@ -456,13 +459,26 @@ def _lambda_radius(d: int, re_a_max: float, eps_side: float, lam_lb: float) -> f
 def _gamma_term_sum(L: HermitianLattice, a: complex, eps_side: float, ctx: Ctx, cap: int):
     """sum over nonzero e in L of G(a, pi |e|^2), truncated; returns
     (sum, nonzero term count)."""
-    d = L.rank
-    lam = float(_lambda_min_lower(L))
-    R2 = _lambda_radius(d, a.real, eps_side, lam)
-    norms = _norm_multiplicities(_enumerate_scaled(L, Fraction(R2), cap))
+    norms = _norm_multiplicities(_enumerate_scaled(L, _lambda_radius(L, a, eps_side), cap))
     c = L._int_scale
     terms = [mult * ctx.upper_G(a, ctx.pi * ctx.real(Fraction(q, c))) for q, mult in norms]
     return ctx.fsum_complex(terms), sum(mult for _, mult in norms)
+
+
+def _lambda_sides(L: HermitianLattice, s: complex, eps: float) -> tuple:
+    """The two gamma-term sums of Lambda(L, s) as (lattice, a, weight,
+    eps_side): L at a = s/2 with weight sqrt(vol), then the dual at
+    (d - s)/2 with weight 1/sqrt(vol), eps split between them by weight.
+    Raises PoleError at s = 0 and s = d, and ValidationError unless
+    0 < eps < inf, before any ball is enumerated."""
+    d = L.rank
+    if s == 0 or s == complex(d):
+        raise PoleError(f"Lambda has a pole at s = {s}")
+    if not 0 < eps < math.inf:
+        raise ValidationError("eps must be positive and finite")
+    sv_f = float(L.det) ** 0.25  # sqrt of the covolume
+    sides = ((L, s / 2.0, sv_f), (dual(L), (d - s) / 2.0, 1.0 / sv_f))
+    return tuple((M, a, w, eps / (2.0 * max(w, 1.0))) for M, a, w in sides)
 
 
 def _sqrt_covolume(L: HermitianLattice, ctx: Ctx):
@@ -483,18 +499,7 @@ def completed_lambda(L: HermitianLattice, s, eps: float = 1e-12, ctx: Ctx = DEFA
     """
     s = complex(s)
     d = L.rank
-    if s == 0 or s == complex(d):
-        raise PoleError(f"Lambda has a pole at s = {s}")
-    if not 0 < eps < math.inf:
-        raise ValidationError("eps must be positive and finite")
-    sv_f = float(L.det) ** 0.25  # sqrt of the covolume
-    Ld = dual(L)
-    a1 = s / 2.0
-    a2 = (d - s) / 2.0
-    # split eps between the two sums, weighted by their prefactors
-    w1, w2 = sv_f, 1.0 / sv_f
-    eps1 = eps / (2.0 * max(w1, 1.0))
-    eps2 = eps / (2.0 * max(w2, 1.0))
+    (_, a1, w1, eps1), (Ld, a2, w2, eps2) = _lambda_sides(L, s, eps)
     sum1, n1 = _gamma_term_sum(L, a1, eps1, ctx, cap)
     sum2, n2 = _gamma_term_sum(Ld, a2, eps2, ctx, cap)
     sv = _sqrt_covolume(L, ctx)

@@ -228,8 +228,8 @@ def _fn_density(arch: ArchKind, quad_eps: float):
 def _archimedean_density_err(variety, arch, quad_eps):
     _check_variety(variety)
     arch = ArchKind.parse(arch)
-    if not quad_eps > 0:
-        raise ValidationError(f"quadrature tolerance must be positive, got {quad_eps!r}")
+    if not 0 < quad_eps < math.inf:
+        raise ValidationError(f"quadrature tolerance must be positive and finite, got {quad_eps!r}")
     if isinstance(variety, Pn):
         if arch is ArchKind.MAX:
             return float(_box_density_exact(variety.n)), 0.0

@@ -51,6 +51,10 @@ def test_count_example():
     assert rc == 0
     assert out.splitlines()[0] == "8"
 
+    rc, out, err = run(["count", "--n", "1", "--table", "2,5,10"])
+    assert rc == 0 and err == ""
+    assert out.splitlines() == ["threshold,count,model", "2,8,", "5,40,", "10,128,"]
+
 
 # -- input formats -----------------------------------------------------
 
@@ -221,6 +225,25 @@ def test_non_finite_eps_refused(value):
         assert err.startswith("error: validation: eps") and err.count("\n") == 1, argv
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "0"])
+def test_quad_eps_must_be_positive_and_finite(value):
+    # an infinite budget used to print "total": Infinity, which is not JSON
+    rc, out, err = run(["tamagawa", "--variety", "F2", "--quad-eps", value])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: validation: quadrature tolerance") and err.count("\n") == 1
+
+
+def test_arakelov_zeta_class_over_cap_refused_promptly():
+    # a late height class's Lambda ball is over the cap; every class's two
+    # balls are counted before the first class is evaluated, so the
+    # refusal no longer waits for the earlier classes' millions of terms
+    t0 = time.perf_counter()
+    rc, out, err = run(["arakelov", "--phi", "zeta", "--degrees", "2,-1,3", "--s", "2.5", "--cutoff", "12"])
+    elapsed = time.perf_counter() - t0
+    assert (rc, out, err) == (3, "", "error: capacity: enumeration exceeds cap of 5000000 vectors\n")
+    assert elapsed < 1.0
+
+
 def test_bad_flags_exit_code():
     for argv in (
         ["nope"],
@@ -269,20 +292,51 @@ def test_cli_goldens_replay(monkeypatch):
 
 # -- import cost ---------------------------------------------------------
 
+PARSER_ONLY = ["adelic", "adelic.cli", "adelic.errors", "adelic.numeric"]
 
-def test_plain_command_loads_no_numeric_packages():
-    # a fresh interpreter, since this one has numpy loaded already
+
+@pytest.mark.parametrize(
+    "argv, first_line, unused",
+    [
+        pytest.param(None, None, None, id="import"),
+        pytest.param(["--help"], "usage: adelic [-h] [--precision-bits PRECISION_BITS] [--eps EPS]", None, id="help"),
+        pytest.param(
+            ["lattice", "theta", "--gram", "I2", "--t", "1"],
+            "1.1803405990160962 ± 1.048e-15 (18 terms, rigorous, 64-bit)",
+            ("heights", "arakelov", "counts", "fibration", "tamagawa", "twist", "places"),
+            id="lattice-theta",
+        ),
+        pytest.param(
+            ["height", "1", "1", "max", "2", "3"], "3", ("arakelov", "counts", "fibration", "tamagawa", "twist"), id="height"
+        ),
+    ],
+)
+def test_plain_command_loads_no_numeric_packages(argv, first_line, unused):
+    # a fresh interpreter, since this one has every module loaded already.
+    # Importing the CLI loads the parser alone (argv None: no command), and
+    # a command loads only the library modules it runs; no plain command
+    # loads numpy, scipy or mpmath.
     code = (
-        "import sys\n"
+        "import json, sys\n"
         "import adelic.cli\n"
-        "rc = adelic.cli.main(['height', '1', '1', 'max', '2', '3'])\n"
-        "heavy = [m for m in ('numpy', 'scipy', 'mpmath') if m in sys.modules]\n"
-        "assert rc == 0 and not heavy, (rc, heavy)\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "rc = 0 if argv is None else adelic.cli.main(argv)\n"
+        "roots = ('adelic', 'numpy', 'scipy', 'mpmath')\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in roots)\n"
+        "sys.stderr.write(json.dumps([rc, loaded]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == "3"
+    rc, loaded = json.loads(proc.stderr)
+    assert rc == 0
+    assert (proc.stdout.splitlines() or [None])[0] == first_line
+    heavy = [m for m in loaded if m.split(".")[0] != "adelic"]
+    assert heavy == []
+    if unused is None:
+        assert loaded == PARSER_ONLY
+    else:
+        assert [m for m in loaded if m.split(".")[-1] in unused] == []
 
 
 # -- json mode ---------------------------------------------------------

@@ -186,6 +186,19 @@ def test_quadrature_failure_reports_achieved():
         archimedean_density(HirzebruchSurface(1), "max", quad_eps=1e-30)
 
 
+@pytest.mark.parametrize("quad_eps", [math.inf, math.nan, 0.0, -1e-9])
+def test_quadrature_tolerance_must_be_positive_and_finite(quad_eps):
+    # an infinite budget would print Infinity into the JSON report
+    match = "quadrature tolerance must be positive and finite"
+    for variety in (P1, HirzebruchSurface(2)):
+        with pytest.raises(ValidationError, match=match):
+            archimedean_density(variety, "max", quad_eps=quad_eps)
+        with pytest.raises(ValidationError, match=match):
+            tamagawa_number(TamagawaSpec(variety, ArchKind.MAX, 100), quad_eps)
+    with pytest.raises(ValidationError, match=match):
+        peyre_constant_check(1, 100, 10**6, quad_eps=quad_eps)
+
+
 def test_tamagawa_p1_max_value():
     tau = tamagawa_number(TamagawaSpec(P1, ArchKind.MAX, 10**5))
     target = 24.0 / math.pi**2
