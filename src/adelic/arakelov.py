@@ -395,29 +395,21 @@ def convergence_abscissa_probe(
     For each s the partial sums at cutoffs B, 2B, 4B are compared.  Terms
     at height N total about 4*phi(N)*N^(1-s), so block increments shrink
     for Re(s) > 3 and grow like 2^(3-Re(s)) per doubling below that; the
-    sign of the measured exponent classifies the abscissa.  Counts per
-    height use c_1 = 4 and c_N = 4*phi(N), the totient identity verified
-    against enumeration by grouped_series_coefficients.
+    sign of the measured exponent classifies the abscissa.  One pass of
+    height classes to cutoff 4B gives each height's multiplicity and theta
+    value, each to eps divided by the number of points.
     """
     if spec.phi_kind is not PhiKind.THETA or spec.bundle_degrees != (1,):
         raise ValidationError("probe is defined for the theta series of degree list [1]")
     if spec.arch is not ArchKind.MAX:
         raise ValidationError("probe uses integer height grouping (max metric)")
     tops = (spec.cutoff, 2 * spec.cutoff, 4 * spec.cutoff)
-    n_terms = 4 * sum(euler_phi(N) for N in range(1, tops[-1] + 1))
-    per_eps = eps / n_terms
-    theta_at = {}
-    for N in range(1, tops[-1] + 1):
-        theta_at[N] = theta(HermitianLattice([[Fraction(1, N * N)]]), 1, per_eps, ctx).value
-
+    classes = _height_classes(replace(spec, cutoff=tops[-1], s=0), eps, ctx, ENUM_CAP)
     out = []
     for s0 in s_grid:
         s_c = complex(s0)
-        terms = [
-            4 * euler_phi(N) * theta_at[N] * ctx.rational_power(Fraction(1, N * N), s_c / 2)
-            for N in range(1, tops[-1] + 1)
-        ]
-        partials = tuple(ctx.fsum_mixed(terms[:top]) for top in tops)
+        terms = [len(c.points) * c.phi_value * ctx.rational_power(c.lattice.det, s_c / 2) for c in classes]
+        partials = tuple(ctx.fsum_mixed([t for c, t in zip(classes, terms) if c.height_sq <= top * top]) for top in tops)
         inc1 = float(abs(partials[1] - partials[0]))
         inc2 = float(abs(partials[2] - partials[1]))
         if inc1 == 0.0:

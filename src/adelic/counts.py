@@ -4,9 +4,9 @@ Counting is exact integer arithmetic throughout: for the sup metric the
 height-H ball is a box, for the Euclidean metric it is a ball, and in
 both cases membership of a primitive vector is decided by exact
 comparisons.  Two independent exact methods are provided: a direct
-enumeration of canonical representatives (`enumerate_Pn`) and a Moebius
-sieve over dilated boxes or balls (`count_Pn`).  They must always
-agree; the test suite holds them to that.
+enumeration of canonical representatives (`enumerate_Pn`) and a sieve
+over dilated boxes or balls with no factorisation (`count_Pn`).  They
+must always agree; the test suite holds them to that.
 
 Counting functions feed least-squares fits on the log scale against the
 shape theta * H^a * (log H)^(b - 1), with optional pinning of a and b.
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import bisect
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,9 +25,6 @@ from .exact import int_root
 from .heights import ArchKind, MetrizedLineBundle, ProjPoint, canonical_vectors
 from .lattice import ENUM_CAP, SeriesValue
 from .numeric import fsum_c
-from .places import mobius
-
-_mobius = functools.lru_cache(maxsize=None)(mobius)
 
 # Relative singular-value floor below which the fit design is treated as
 # rank deficient.  Honest fits over two decades sit many orders above it.
@@ -156,46 +152,56 @@ def _ball_count(k: int, radius_sq: int) -> int:
     return total
 
 
+def _quotient_blocks(q: int, k: int, d: int):
+    """(count, v) for each run of d, d + 1, ... sharing v = q // d^k >= 1."""
+    while d**k <= q:
+        v = q // d**k
+        d_hi = q // v if k == 1 else math.isqrt(q // v)
+        yield d_hi - d + 1, v
+        d = d_hi + 1
+
+
+def _primitive_count(top: int, k: int, region) -> int:
+    """Half the primitive vectors in the box (k = 1) or ball (k = 2) at
+    quotient top, where region(q) counts its nonzero vectors at quotient q.
+    Every nonzero vector is d times a primitive one, so the primitive count
+    is P(q) = region(q) - sum over d >= 2 of P(q // d^k).  As (top // a) // b
+    = top // (a*b), P runs over the quotients of top alone, in ascending
+    order, one block per run of d sharing a quotient."""
+    P = {}
+    for q in sorted({v for _, v in _quotient_blocks(top, k, 1)}):
+        P[q] = region(q) - sum(c * P[v] for c, v in _quotient_blocks(q, k, 2))
+    return P[top] // 2
+
+
 def count_Pn(n: int, B: MetrizedLineBundle, H_bound, cap: int = ENUM_CAP) -> int:
-    """Exact count of points of height <= H_bound by Moebius inversion
+    """Exact count of points of height <= H_bound by `_primitive_count`
     over dilated boxes (sup metric) or balls (Euclidean metric).
 
     Independent of `enumerate_Pn`: no vector is ever materialized, so
-    this path scales to thresholds far beyond the scan cap.  The sieve
-    still walks every dilation factor once, so the coordinate radius
-    itself is capped; `cap` bounds the Moebius evaluations, not memory.
+    this path scales to thresholds far beyond the scan cap.  `cap` bounds
+    the coordinate radius, not memory.
     """
     _check_bundle(n, B)
     bound = _as_bound(H_bound, "H_bound")
     if bound < 1:
         return 0
-    dim = n + 1
     if B.arch is ArchKind.MAX:
         r = int_root(bound, B.m)
         if r > cap:
             raise CapacityError(f"sieve radius {brief(r)} exceeds the cap {cap}")
-        total = 0
-        for d in range(1, r + 1):
-            mu = _mobius(d)
-            if mu:
-                total += mu * ((2 * (r // d) + 1) ** dim - 1)
-        return total // 2
+        return _primitive_count(r, 1, lambda q: (2 * q + 1) ** (n + 1) - 1)
     budget = int_root(bound * bound, B.m)
     if math.isqrt(budget) > cap:
         raise CapacityError(f"sieve radius {brief(math.isqrt(budget))} exceeds the cap {cap}")
-    total = 0
-    for d in range(1, math.isqrt(budget) + 1):
-        mu = _mobius(d)
-        if mu:
-            total += mu * (_ball_count(dim, budget // (d * d)) - 1)
-    return total // 2
+    return _primitive_count(budget, 2, lambda q: _ball_count(n + 1, q) - 1)
 
 
 def count_table(n: int, B: MetrizedLineBundle, thresholds, method: str = "auto",
                 cap: int = ENUM_CAP) -> CountTable:
     """Counting function N(H) sampled at the given thresholds.
 
-    `method` picks the exact backend: "sieve" (Moebius inversion),
+    `method` picks the exact backend: "sieve" (``count_Pn``),
     "enumerate" (canonical representatives, each height read from its
     exact gauge squared), or "auto" for the sieve.  Both backends must
     give identical tables.

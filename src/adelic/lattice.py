@@ -514,10 +514,12 @@ def lattice_zeta(L: HermitianLattice, s, eps: float = 1e-12, ctx: Ctx = DEFAULT_
 
     Computed as Lambda(L, s) * pi^(s/2) / (sqrt(vol) Gamma(s/2)).  Shares
     Lambda's pole at s = d; s = 0 is excluded as well since the route
-    through Lambda degenerates there.
+    through Lambda degenerates there.  At s = -2, -4, ... it is exactly 0.
     """
     s = complex(s)
     lam = completed_lambda(L, s, eps, ctx, cap)
+    if s.imag == 0 and s.real < 0 and s.real % 2 == 0:  # 1/Gamma(s/2) = 0
+        return SeriesValue(ctx.to_complex(0), _roundoff_allowance(0.0, ctx.bits), lam.terms_used, False)
     half_s = ctx.to_complex(s) / 2
     factor = ctx.pi_power(half_s) / (_sqrt_covolume(L, ctx) * ctx.gamma(half_s))
     value = lam.value * factor

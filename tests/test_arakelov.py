@@ -231,6 +231,31 @@ def test_probe_classification_flip():
     assert abs(s4[2] - s4[1]) < abs(s4[1] - s4[0])
 
 
+def _probe_partials_per_height(cutoff, s_grid, eps, ctx):
+    # the per-height formula: 4*phi(N) points of height N, each with the
+    # theta value of the rank one lattice of Gram 1/N^2
+    tops = (cutoff, 2 * cutoff, 4 * cutoff)
+    per_eps = eps / (4 * sum(euler_phi(N) for N in range(1, tops[-1] + 1)))
+    theta_at = {N: theta(HermitianLattice([[Fraction(1, N * N)]]), 1, per_eps, ctx).value for N in range(1, tops[-1] + 1)}
+    out = []
+    for s in s_grid:
+        s_c = complex(s)
+        terms = [4 * euler_phi(N) * theta_at[N] * ctx.rational_power(Fraction(1, N * N), s_c / 2) for N in theta_at]
+        out.append(tuple(ctx.fsum_mixed(terms[:top]) for top in tops))
+    return out
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+@pytest.mark.parametrize("cutoff", [1, 4, 16, 25])
+def test_probe_matches_per_height_formula(bits, cutoff):
+    ctx = Ctx(bits)
+    s_grid = [4.0, 3.5, 2.5, 2.0, 3 + 1j]
+    rows = convergence_abscissa_probe(ArakelovSeriesSpec((1,), cutoff=cutoff), s_grid, eps=1e-9, ctx=ctx)
+    want = _probe_partials_per_height(cutoff, s_grid, 1e-9, ctx)
+    assert [row.s for row in rows] == [complex(s) for s in s_grid]
+    assert [repr(row.partials) for row in rows] == [repr(p) for p in want]
+
+
 def test_probe_requires_degree_one_theta():
     with pytest.raises(ValidationError):
         convergence_abscissa_probe(ArakelovSeriesSpec((2,), cutoff=4), [2.0])

@@ -56,6 +56,15 @@ def test_count_example():
     assert out.splitlines() == ["threshold,count,model", "2,8,", "5,40,", "10,128,"]
 
 
+def test_count_large_sup_radius_is_prompt():
+    t0 = time.perf_counter()
+    rc, out, err = run(["count", "--n", "1", "--H", "1000000"])
+    elapsed = time.perf_counter() - t0
+    assert rc == 0 and err == ""
+    assert out.splitlines()[0] == "1215854209568"
+    assert elapsed < 2.0
+
+
 # -- input formats -----------------------------------------------------
 
 
@@ -130,6 +139,26 @@ def test_capacity_exit_code():
 
     rc, _, err = run(["count", "--n", "1", "--H", "99999999"])
     assert rc == 3 and err.startswith("error: capacity:")
+
+
+@pytest.mark.parametrize("bits", ["64", "128"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lattice", "zeta", "--gram", "I1", "--s", "-2"],
+        ["lattice", "zeta", "--gram", "I2", "--s", "-4"],
+        ["arakelov", "--phi", "zeta", "--degrees", "1", "--s", "-2", "--cutoff", "2"],
+    ],
+)
+def test_lattice_zeta_trivial_zeros(bits, argv):
+    # 1/Gamma(s/2) vanishes at s = -2, -4, ...: zeta_L is exactly 0 there
+    rc, out, err = run(["--precision-bits", bits, *argv])
+    assert rc == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0].startswith("0.0 ± ")
+    for row in lines[2:]:
+        fields = row.split(",")
+        assert fields[3] == "0.0" and fields[5] == "0.0"
 
 
 def test_zeta_past_double_range():

@@ -86,10 +86,26 @@ def test_sieve_count_matches_enumeration():
     B3 = MetrizedLineBundle(3, 1, ArchKind.MAX)
     for H in (1, 2, 3):
         assert count_Pn(3, B3, H) == len(enumerate_Pn(3, B3, H))
+    B3_L2 = MetrizedLineBundle(3, 1, ArchKind.L2)
+    for H in range(1, 7):
+        assert count_Pn(3, B3_L2, H) == len(enumerate_Pn(3, B3_L2, H))
     for m in (2, 3):
         Bm = MetrizedLineBundle(1, m, ArchKind.MAX)
         for H in (1, 4, 9, 30):
             assert count_Pn(1, Bm, H) == len(enumerate_Pn(1, Bm, H))
+    for n in (1, 2):
+        B2_L2 = MetrizedLineBundle(n, 2, ArchKind.L2)
+        for H in (1, 2, 4, 9, 30, Fraction(99, 10)):
+            assert count_Pn(n, B2_L2, H) == len(enumerate_Pn(n, B2_L2, H))
+
+
+@pytest.mark.parametrize("arch", [ArchKind.MAX, ArchKind.L2])
+def test_sieve_cap_bounds_the_radius(arch):
+    # radius r = cap is counted, r = cap + 1 refused: H = r under both metrics
+    B = MetrizedLineBundle(1, 1, arch)
+    assert count_Pn(1, B, 30, cap=30) == len(enumerate_Pn(1, B, 30))
+    with pytest.raises(CapacityError, match="sieve radius 31 exceeds the cap 30"):
+        count_Pn(1, B, 31, cap=30)
 
 
 def test_count_table_examples_and_backends():

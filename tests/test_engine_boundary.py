@@ -21,3 +21,10 @@ def test_only_numeric_knows_the_engine():
         if re.search(r"is_float|mpmath", line)
     ]
     assert offenders == []
+
+
+def test_counting_needs_no_factorisation():
+    # count_Pn peels off multiples by quotients alone: no Moebius function,
+    # so the counting layer imports nothing from adelic.places
+    lines = (SRC / "counts.py").read_text().splitlines()
+    assert [line for line in lines if re.search(r"\bplaces\b|mobius", line)] == []
