@@ -10,15 +10,19 @@ when s=0).
 
 The restriction at a base point depends on the point only through its
 exact height squared, so the roughly (12/pi^2)*cutoff^2 base points fall
-into far fewer height classes.  The restriction, the integrand, the
-covolume power, the term and its error bound are formed once per class
-and then repeated by the class multiplicity.  Terms are summed in a
-deterministic order (base height, then canonical coordinates) with
-exactly rounded accumulation.  The points of one class are contiguous in
-that order and all carry the identical floating term, so the expanded
-sequence is the one a per-point evaluation would sum, term for term:
-equal inputs give equal bits, and regrouping terms by height cannot
-change the value.
+into far fewer height classes.  A class is its height squared, its
+multiplicity and one canonical representative, counted without listing
+the points: 4*phi(N) points of height N >= 2 under the max metric (a
+totient sieve), one gcd per pair a, b >= 1 under the euclidean metric.
+The points themselves are listed only for the per-point rows and for a
+spec's point filter.  The restriction, the integrand, the covolume
+power, the term and its error bound are formed once per class and then
+repeated by the class multiplicity.  Terms are summed in a deterministic
+order (base height, then canonical coordinates) with exactly rounded
+accumulation.  The points of one class are contiguous in that order and
+all carry the identical floating term, so the repeated sequence is the
+one a per-point evaluation would sum, term for term: equal inputs give
+equal bits, and regrouping terms by height cannot change the value.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import isqrt
+from itertools import chain, repeat
+from math import gcd, isqrt
 from typing import Callable, Optional
 
 from .errors import CapacityError, ValidationError, brief
@@ -45,7 +50,6 @@ from .lattice import (
     vol,
 )
 from .numeric import Ctx, DEFAULT_CTX
-from .places import euler_phi
 
 
 class PhiKind(enum.Enum):
@@ -116,10 +120,10 @@ class TermRow:
 class GroupedRow:
     """Terms of the theta series sharing one base height.
 
-    ``count`` comes from exhaustive enumeration: 4 points at N=1 and
+    ``count`` is the height class multiplicity: 4 points at N=1 and
     4*phi(N) at N>=2.  ``reference_coefficient`` carries a closed form
     quoted for this series, 2*(1 + 2*(summatory totient at N)); it
-    disagrees with the enumerated count, is reported for side by side
+    disagrees with the class count, is reported for side by side
     comparison only, and never enters the sum.
     """
 
@@ -146,12 +150,25 @@ class _HeightClass:
     they all contribute."""
 
     height_sq: int
-    points: tuple  # canonical pairs (a, b), in summation order
+    count: int  # multiplicity: the number of base points in the class
+    points: Optional[tuple]  # canonical pairs (a, b) in summation order, if listed
     lattice: HermitianLattice
     phi_value: "complex | float"
     phi_error: float
     term: "complex | float"
     term_error: float
+
+
+def _base_box(cutoff) -> int:
+    """The cutoff as an int, once its (cutoff + 1)*(2*cutoff + 1)
+    candidate pairs are checked against ENUM_CAP."""
+    B = int(cutoff)
+    if B < 1:
+        raise ValidationError("cutoff must be a positive integer")
+    candidates = (B + 1) * (2 * B + 1)
+    if candidates > ENUM_CAP:
+        raise CapacityError(f"base point enumeration needs {brief(candidates)} candidates, over the cap {ENUM_CAP}")
+    return B
 
 
 def _canonical_pairs(cutoff, arch: ArchKind) -> list[tuple[int, int, int]]:
@@ -162,13 +179,41 @@ def _canonical_pairs(cutoff, arch: ArchKind) -> list[tuple[int, int, int]]:
     The (cutoff + 1)*(2*cutoff + 1) candidate pairs are checked against
     ENUM_CAP before any of them is visited.
     """
-    B = int(cutoff)
-    if B < 1:
-        raise ValidationError("cutoff must be a positive integer")
-    candidates = (B + 1) * (2 * B + 1)
-    if candidates > ENUM_CAP:
-        raise CapacityError(f"base point enumeration needs {brief(candidates)} candidates, over the cap {ENUM_CAP}")
+    B = _base_box(cutoff)
     return canonical_vectors(1, arch, B * B)
+
+
+def _class_counts(cutoff, arch: ArchKind) -> list[tuple[int, int, tuple[int, int]]]:
+    """(h^2, multiplicity, one canonical pair) for every height class of
+    base points of height at most ``cutoff``, sorted by h^2: the classes
+    of ``_canonical_pairs``, counted without listing the pairs, under the
+    same cap.
+    """
+    B = _base_box(cutoff)
+    if arch is ArchKind.MAX:
+        # height N >= 2: (N, b) with gcd(N, b) = 1 and |b| < N, and
+        # (a, +-N) with 1 <= a < N coprime to N, so 4*phi(N) points;
+        # height 1: (0, 1), (1, -1), (1, 0), (1, 1)
+        phi = list(range(B + 1))
+        for p in range(2, B + 1):
+            if phi[p] == p:
+                for k in range(p, B + 1, p):
+                    phi[k] -= phi[k] // p
+        return [(1, 4, (0, 1))] + [(N * N, 4 * phi[N], (1, N)) for N in range(2, B + 1)]
+    # (0, 1) and (1, 0) have h^2 = 1; every other canonical pair is
+    # (a, +-b) with a, b >= 1 coprime, of h^2 = a^2 + b^2
+    B2 = B * B
+    classes = {1: [2, (1, 0)]}
+    for a in range(1, B + 1):
+        for b in range(1, isqrt(B2 - a * a) + 1):
+            if gcd(a, b) == 1:
+                h2 = a * a + b * b
+                c = classes.get(h2)
+                if c is None:
+                    classes[h2] = [2, (a, b)]
+                else:
+                    c[0] += 2
+    return [(h2, n, rep) for h2, (n, rep) in sorted(classes.items())]
 
 
 def base_points_by_height(cutoff, arch=ArchKind.MAX, point_filter=None) -> list[ProjPoint]:
@@ -210,14 +255,20 @@ def _phi_factory(spec: ArakelovSeriesSpec, per_eps: float, ctx: Ctx, cap: int):
     return phi
 
 
-def _height_classes(spec: ArakelovSeriesSpec, eps: float, ctx: Ctx, cap: int) -> list[_HeightClass]:
+def _height_classes(
+    spec: ArakelovSeriesSpec, eps: float, ctx: Ctx, cap: int, with_points: bool = False
+) -> list[_HeightClass]:
     """The series' base points grouped by exact height squared, in
-    summation order, each class carrying its one restriction and term.
+    summation order, each class carrying its multiplicity, its one
+    restriction and its term.
 
-    Each theta or zeta factor is evaluated to eps divided by the number
-    of points, so the total reported error bound stays below eps plus the
-    roundoff allowance.  A ProjPoint is built only for a class
-    representative, or to ask the spec's point filter.  With the zeta
+    The classes are counted without listing their points, unless
+    ``with_points`` asks for the per-point rows or the spec's point
+    filter has to see every point; then each class also carries its
+    canonical pairs.  The restriction depends only on the height, so any
+    point of a class gives it.  Each theta or zeta factor is evaluated to
+    eps divided by the number of points, so the total reported error
+    bound stays below eps plus the roundoff allowance.  With the zeta
     integrand every class's two Lambda balls are counted by
     ``_ball_rows`` before the first class is evaluated, so a class over
     the cap is refused at once, with the error the evaluation would
@@ -226,16 +277,20 @@ def _height_classes(spec: ArakelovSeriesSpec, eps: float, ctx: Ctx, cap: int) ->
     if not 0 < eps < math.inf:
         raise ValidationError("eps must be positive and finite")
     keep = spec.point_filter
-    members: list[tuple[int, list]] = []
-    for h2, a, b in _canonical_pairs(spec.cutoff, spec.arch):
-        if keep is not None and not keep(ProjPoint((a, b))):
-            continue
-        if members and members[-1][0] == h2:
-            members[-1][1].append((a, b))
-        else:
-            members.append((h2, [(a, b)]))
-    per_eps = eps / max(1, sum(len(pts) for _, pts in members))
-    lattices = [restrict_bundle_sum(spec.bundle_degrees, ProjPoint(pts[0]), spec.arch) for _, pts in members]
+    if with_points or keep is not None:
+        listed: list[tuple[int, list]] = []
+        for h2, a, b in _canonical_pairs(spec.cutoff, spec.arch):
+            if keep is not None and not keep(ProjPoint((a, b))):
+                continue
+            if listed and listed[-1][0] == h2:
+                listed[-1][1].append((a, b))
+            else:
+                listed.append((h2, [(a, b)]))
+        members = [(h2, len(pts), pts[0], tuple(pts)) for h2, pts in listed]
+    else:
+        members = [(h2, n, rep, None) for h2, n, rep in _class_counts(spec.cutoff, spec.arch)]
+    per_eps = eps / max(1, sum(m[1] for m in members))
+    lattices = [restrict_bundle_sum(spec.bundle_degrees, ProjPoint(rep), spec.arch) for _, _, rep, _ in members]
     if spec.phi_kind is PhiKind.ZETA:
         # phi evaluates a repeated restriction once, so it is counted once
         for L in dict.fromkeys(lattices):
@@ -244,23 +299,23 @@ def _height_classes(spec: ArakelovSeriesSpec, eps: float, ctx: Ctx, cap: int) ->
     phi = _phi_factory(spec, per_eps, ctx, cap)
     half_s = spec.s / 2
     out = []
-    for (h2, pts), L in zip(members, lattices):
+    for (h2, n, _, pts), L in zip(members, lattices):
         val, err = phi(L)
         w = ctx.rational_power(L.det, half_s)
         term = val * w
         term_err = err * float(abs(w)) + _roundoff_allowance(float(abs(term)), ctx.bits)
-        out.append(_HeightClass(h2, tuple(pts), L, val, err, term, term_err))
+        out.append(_HeightClass(h2, n, pts, L, val, err, term, term_err))
     return out
 
 
 def _series_value(spec: ArakelovSeriesSpec, classes: list[_HeightClass], ctx: Ctx) -> SeriesValue:
-    # expand each class by its multiplicity: the per-point term sequence
-    value = ctx.fsum_mixed([c.term for c in classes for _ in c.points])
-    err = math.fsum(c.term_error for c in classes for _ in c.points)
+    # each class term repeated by its multiplicity: the per-point term sequence
+    value = ctx.fsum_mixed(chain.from_iterable(repeat(c.term, c.count) for c in classes))
+    err = math.fsum(chain.from_iterable(repeat(c.term_error, c.count) for c in classes))
     # zeta factors lean on incomplete gamma truncation heuristics; theta
     # and bare covolume factors carry proved tail bounds
     rigorous = spec.phi_kind is not PhiKind.ZETA
-    terms_used = sum(len(c.points) for c in classes)
+    terms_used = sum(c.count for c in classes)
     return SeriesValue(value=value, error_bound=err, terms_used=terms_used, rigorous=rigorous)
 
 
@@ -275,7 +330,7 @@ def arakelov_term_rows(
     of its height class, formed once and shared by every point of the
     class; only the rows themselves are built per point.
     """
-    return _term_rows(_height_classes(spec, eps, ctx, cap))
+    return _term_rows(_height_classes(spec, eps, ctx, cap, with_points=True))
 
 
 def _term_rows(classes: list[_HeightClass]) -> list[TermRow]:
@@ -308,7 +363,9 @@ def arakelov_L_partial(
     term repeated by its multiplicity, in class order.  That is the
     per-point term sequence itself, so the value (the context's sum of
     that sequence), the error bound (exactly rounded) and the term count
-    equal those of a per-point evaluation bit for bit.
+    equal those of a per-point evaluation bit for bit.  The base points
+    are counted per class, not listed, unless the spec's point filter
+    has to see them.
     """
     return _series_value(spec, _height_classes(spec, eps, ctx, cap), ctx)
 
@@ -319,7 +376,7 @@ def arakelov_series_and_rows(
     """``(arakelov_L_partial(...), arakelov_term_rows(...))`` from one
     pass over the height classes: the base points are enumerated and
     every class term is evaluated once for both results."""
-    classes = _height_classes(spec, eps, ctx, cap)
+    classes = _height_classes(spec, eps, ctx, cap, with_points=True)
     return _series_value(spec, classes, ctx), _term_rows(classes)
 
 
@@ -352,36 +409,32 @@ def grouped_series_coefficients(
 
     All points of height N share one restriction, hence one floating
     term; a group is one height class of the series, that term with its
-    enumerated multiplicity, built once.  arakelov_L_partial sums exactly
-    these terms repeated by multiplicity in this order, so the groups
-    reassemble its value bit for bit.
+    multiplicity (4 at N=1, 4*phi(N) from a totient sieve at N>=2),
+    built once without listing the points.  arakelov_L_partial sums
+    exactly these terms repeated by multiplicity in this order, so the
+    groups reassemble its value bit for bit.
 
     The reference column evaluates 2*(1 + 2*Phi(N)) with Phi the
-    summatory totient, giving 6, 10, 18, 26, ...; enumeration yields 4,
-    4, 8, 8, ... instead and is what the series actually sums.
+    summatory totient, giving 6, 10, 18, 26, ...; it reads Phi(N) off the
+    multiplicities as their running sum over 4, since phi(1) = 1 = 4/4.
+    The counts themselves are 4, 4, 8, 8, ... instead and are what the
+    series actually sums.
     """
     arch = ArchKind.parse(arch)
     if arch is not ArchKind.MAX:
         raise ValidationError("integer height grouping requires the max metric")
     spec = ArakelovSeriesSpec(tuple(bundle_degrees), arch, s, int(n_max), PhiKind.THETA)
-    classes = _height_classes(spec, eps, ctx, ENUM_CAP)
-
-    summatory = {}
-    running = 0
-    for N in range(1, spec.cutoff + 1):
-        running += euler_phi(N)
-        summatory[N] = running
-
     out = []
-    for c in classes:
-        N = isqrt(c.height_sq)
+    running = 0  # points of height at most N: 4*Phi(N)
+    for c in _height_classes(spec, eps, ctx, ENUM_CAP):
+        running += c.count
         out.append(
             GroupedRow(
-                height=N,
-                count=len(c.points),
+                height=isqrt(c.height_sq),
+                count=c.count,
                 theta_value=c.phi_value,
                 term=c.term,
-                reference_coefficient=2 * (1 + 2 * summatory[N]),
+                reference_coefficient=2 * (1 + 2 * (running // 4)),
             )
         )
     return out
@@ -397,7 +450,8 @@ def convergence_abscissa_probe(
     for Re(s) > 3 and grow like 2^(3-Re(s)) per doubling below that; the
     sign of the measured exponent classifies the abscissa.  One pass of
     height classes to cutoff 4B gives each height's multiplicity and theta
-    value, each to eps divided by the number of points.
+    value, each to eps divided by the number of points; the points are
+    counted per height, not listed.
     """
     if spec.phi_kind is not PhiKind.THETA or spec.bundle_degrees != (1,):
         raise ValidationError("probe is defined for the theta series of degree list [1]")
@@ -408,7 +462,7 @@ def convergence_abscissa_probe(
     out = []
     for s0 in s_grid:
         s_c = complex(s0)
-        terms = [len(c.points) * c.phi_value * ctx.rational_power(c.lattice.det, s_c / 2) for c in classes]
+        terms = [c.count * c.phi_value * ctx.rational_power(c.lattice.det, s_c / 2) for c in classes]
         partials = tuple(ctx.fsum_mixed([t for c, t in zip(classes, terms) if c.height_sq <= top * top]) for top in tops)
         inc1 = float(abs(partials[1] - partials[0]))
         inc2 = float(abs(partials[2] - partials[1]))

@@ -389,7 +389,7 @@ def _cmd_arakelov(args, ctx: Ctx):
     from .arakelov import ArakelovSeriesSpec, arakelov_series_and_rows, grouped_series_coefficients, theta_duality_defect
     from .heights import ArchKind
 
-    degrees =tuple(_parse_int_list(args.degrees, "--degrees"))
+    degrees = tuple(_parse_int_list(args.degrees, "--degrees"))
     s = _parse_scalar(args.s, "--s")
     spec = ArakelovSeriesSpec(
         bundle_degrees=degrees,
@@ -727,7 +727,7 @@ def _st_arakelov_grouped():
     from .heights import ArchKind
     from .places import euler_phi
 
-    rows =grouped_series_coefficients(25, (1,), ArchKind.MAX, 2.5, 1e-12)
+    rows = grouped_series_coefficients(25, (1,), ArchKind.MAX, 2.5, 1e-12)
     for r in rows:
         want = 4 if r.height == 1 else 4 * euler_phi(r.height)
         if r.count != want:

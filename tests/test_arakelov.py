@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,9 @@ import pytest
 from adelic.arakelov import (
     ArakelovSeriesSpec,
     PhiKind,
+    _canonical_pairs,
+    _class_counts,
+    _phi_factory,
     arakelov_L_partial,
     arakelov_series_and_rows,
     arakelov_term_rows,
@@ -14,9 +19,21 @@ from adelic.arakelov import (
     grouped_series_coefficients,
     theta_duality_defect,
 )
-from adelic.errors import CapacityError, PoleError, ValidationError
+from adelic.errors import CapacityError, PoleError, ValidationError, brief
 from adelic.heights import ArchKind, MetrizedLineBundle, ProjPoint, height_point_sq, restrict_bundle_sum
-from adelic.lattice import ENUM_CAP, HermitianLattice, _roundoff_allowance, dual, lattice_zeta, theta, vol
+from adelic.lattice import (
+    ENUM_CAP,
+    HermitianLattice,
+    SeriesValue,
+    _ball_rows,
+    _lambda_radius,
+    _lambda_sides,
+    _roundoff_allowance,
+    dual,
+    lattice_zeta,
+    theta,
+    vol,
+)
 from adelic.numeric import Ctx, DEFAULT_CTX
 from adelic.places import euler_phi
 
@@ -269,13 +286,116 @@ def test_base_point_cap_checked_before_enumeration():
     B = 1
     while (B + 2) * (2 * B + 3) <= ENUM_CAP:
         B += 1
-    # B is the largest cutoff whose (B+1)(2B+1) candidate box fits the cap
-    with pytest.raises(CapacityError):
-        base_points_by_height(B + 1)
-    with pytest.raises(CapacityError):
-        arakelov_L_partial(ArakelovSeriesSpec((1,), s=2, cutoff=B + 1, phi_kind=PhiKind.NORM))
-    with pytest.raises(CapacityError):
-        grouped_series_coefficients(B + 1)
+    # B is the largest cutoff whose (B+1)(2B+1) candidate box fits the cap;
+    # the counted classes admit it and hold every point of that box
+    sv = arakelov_L_partial(ArakelovSeriesSpec((1,), s=0, cutoff=B, phi_kind=PhiKind.NORM))
+    assert sv.terms_used == 4 + 4 * sum(euler_phi(N) for N in range(2, B + 1))
+    assert sv.value == float(sv.terms_used)
+    want = f"base point enumeration needs {brief((B + 2) * (2 * B + 3))} candidates, over the cap {ENUM_CAP}"
+    over = ArakelovSeriesSpec((1,), s=2, cutoff=B + 1, phi_kind=PhiKind.NORM)
+    for refused in (
+        lambda: base_points_by_height(B + 1),
+        lambda: arakelov_L_partial(over),
+        lambda: arakelov_term_rows(over),
+        lambda: arakelov_series_and_rows(over),
+        lambda: grouped_series_coefficients(B + 1),
+        lambda: _class_counts(B + 1, ArchKind.L2),
+    ):
+        with pytest.raises(CapacityError) as exc:
+            refused()
+        assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("arch", [ArchKind.MAX, ArchKind.L2])
+def test_class_counts_match_listed_pairs(arch):
+    for B in (*range(1, 25), 57, 200):
+        pairs = _canonical_pairs(B, arch)
+        classes = _class_counts(B, arch)
+        assert [(h2, n) for h2, n, _ in classes] == sorted(Counter(h2 for h2, _, _ in pairs).items())
+        listed = set(pairs)
+        assert all((h2, *rep) in listed for h2, _, rep in classes)
+
+
+def test_probe_lists_no_points():
+    tracemalloc.start()
+    try:
+        convergence_abscissa_probe(ArakelovSeriesSpec((1,), cutoff=100), [4.0, 2.5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # listing the 194,712 base points of height at most 400 would peak
+    # near 32 MiB; counting them per height takes about 0.5 MiB
+    assert peak < 4 * 2**20
+
+
+def _listed_height_classes(spec, eps, ctx, cap):
+    """Height classes built from the list of every canonical base pair:
+    (h^2, pairs, term, term error) per class, the pairs grouped by h^2."""
+    keep = spec.point_filter
+    members = []
+    for h2, a, b in _canonical_pairs(spec.cutoff, spec.arch):
+        if keep is not None and not keep(ProjPoint((a, b))):
+            continue
+        if members and members[-1][0] == h2:
+            members[-1][1].append((a, b))
+        else:
+            members.append((h2, [(a, b)]))
+    per_eps = eps / max(1, sum(len(pts) for _, pts in members))
+    lattices = [restrict_bundle_sum(spec.bundle_degrees, ProjPoint(pts[0]), spec.arch) for _, pts in members]
+    if spec.phi_kind is PhiKind.ZETA:
+        for L in dict.fromkeys(lattices):
+            for M, a, _, eps_side in _lambda_sides(L, spec.rank * spec.s, per_eps):
+                _ball_rows(M, _lambda_radius(M, a, eps_side), cap)
+    phi = _phi_factory(spec, per_eps, ctx, cap)
+    out = []
+    for (h2, pts), L in zip(members, lattices):
+        val, err = phi(L)
+        w = ctx.rational_power(L.det, spec.s / 2)
+        term = val * w
+        out.append((h2, pts, term, err * float(abs(w)) + _roundoff_allowance(float(abs(term)), ctx.bits)))
+    return out
+
+
+def _listed_series_value(spec, eps, ctx):
+    # one term per listed point
+    classes = _listed_height_classes(spec, eps, ctx, ENUM_CAP)
+    value = ctx.fsum_mixed([term for _, pts, term, _ in classes for _ in pts])
+    err = math.fsum(term_err for _, pts, _, term_err in classes for _ in pts)
+    terms_used = sum(len(pts) for _, pts, _, _ in classes)
+    return SeriesValue(value=value, error_bound=err, terms_used=terms_used, rigorous=spec.phi_kind is not PhiKind.ZETA)
+
+
+def _series_outcome(fn):
+    try:
+        sv = fn()
+    except (CapacityError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+    return repr(sv.value), repr(sv.error_bound), sv.terms_used, sv.rigorous
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+@pytest.mark.parametrize("arch", [ArchKind.MAX, ArchKind.L2])
+def test_counted_classes_sum_like_listed_points(arch, bits):
+    ctx = Ctx(bits)
+    odd_first = lambda p: p.coords[0] % 2 == 1  # noqa: E731
+    # the rank three zeta and theta terms take seconds per spec on mpmath
+    wide = bits == 64
+    cutoffs = {PhiKind.THETA: (1, 7 if wide else 4), PhiKind.NORM: (2, 20), PhiKind.ZETA: (2,)}
+    for degrees in ((1,), (1, 2), (-1,), (0,), (2, -1, 3), (0, 0)):
+        for s in (0, 3.5, 2.5 + 1j, -1.5 - 1j):
+            for kind, tops in cutoffs.items():
+                if kind is PhiKind.ZETA and len(degrees) == 3 and not wide:
+                    continue
+                for cutoff in tops:
+                    for keep in (None, odd_first):
+                        spec = ArakelovSeriesSpec(degrees, arch, s, cutoff, kind, keep)
+                        want = _series_outcome(lambda: _listed_series_value(spec, 1e-9, ctx))
+                        assert _series_outcome(lambda: arakelov_L_partial(spec, 1e-9, ctx)) == want, spec
+                        # a filtered spec lists its points on every path;
+                        # the rows path lists them unfiltered as well
+                        if wide and cutoff <= 7:
+                            got = _series_outcome(lambda: arakelov_series_and_rows(spec, 1e-9, ctx)[0])
+                            assert got == want, spec
 
 
 def _oracle_rows(spec, eps, ctx):

@@ -446,6 +446,105 @@ def test_arakelov_table_and_probes():
     ]
 
 
+# Whole stdout of grouped and duality requests, as printed when every
+# base point was listed: counting the height classes instead must leave
+# every count, theta value, term and defect unchanged.
+GROUPED_30_64 = """\
+N,count,reference_coefficient,theta_value,term
+1,4,6,1.086434811213308,1.086434811213308
+2,4,10,2.000013949369425,0.25000174367117817
+3,8,18,3.0000000000031535,0.1111111111112279
+4,8,26,4.0,0.06250000000000003
+5,16,42,5.0,0.04000000000000002
+6,8,50,6.0,0.02777777777777777
+7,24,74,7.0,0.02040816326530613
+8,16,90,8.0,0.015625000000000014
+9,24,114,9.0,0.012345679012345678
+10,16,130,10.0,0.009999999999999993
+11,40,170,11.0,0.008264462809917352
+12,16,186,12.0,0.006944444444444441
+13,48,234,13.0,0.005917159763313607
+14,24,258,14.0,0.005102040816326536
+15,32,290,15.0,0.004444444444444447
+16,32,322,16.0,0.003906250000000003
+17,64,386,17.0,0.003460207612456743
+18,24,410,18.0,0.003086419753086424
+19,72,482,19.0,0.002770083102493076
+20,32,514,20.0,0.0025
+21,48,562,21.0,0.0022675736961451235
+22,40,602,22.0,0.0020661157024793376
+23,88,690,23.0,0.001890359168241966
+24,32,722,24.0,0.0017361111111111097
+25,80,802,25.0,0.0016000000000000016
+26,48,850,26.0,0.0014792899408284012
+27,72,922,27.000000000000004,0.0013717421124828531
+28,48,970,28.0,0.0012755102040816339
+29,112,1082,29.000000000000004,0.001189060642092747
+30,32,1114,30.0,0.0011111111111111113
+"""
+
+GROUPED_30_128 = """\
+N,count,reference_coefficient,theta_value,term
+1,4,6,1.086434811213308014575316121510223301611,1.086434811213308014575316121510223301611
+2,4,10,2.000013949369424835982262907517916374641,0.2500017436711781044977828634397395468301
+3,8,18,3.000000000003153291105308014224547133161,0.1111111111112278996705669634897980419692
+4,8,26,3.999999999999999999870723975340631382152,0.06249999999999999999798006211469736534612
+5,16,42,4.999999999999999999959943474227467048095,0.03999999999999999999967954779381973638496
+6,8,50,5.999999999999999999074530020153169003291,0.0277777777777777777734931945377461527931
+7,24,74,6.999999999999999999688890066342223801297,0.02040816326530612244807256579108520058687
+8,16,90,7.999999999999999997506486719640143014476,0.01562499999999999999512985687429715432515
+9,24,114,8.99999999999999999902026522247674453851,0.0123456790123456790110017355589530103409
+10,16,130,9.999999999999999995380541788164029796294,0.009999999999999999995380541788164029796333
+11,40,170,10.99999999999999998378968419435452124177,0.008264462809917355359721776254210759760957
+12,16,186,11.99999999999999999288775479786546723448,0.00694444444444444444032856180432029353849
+13,48,234,12.99999999999999997994545984586232082886,0.005917159763313609458327473757788948943497
+14,24,258,13.99999999999999999015202452916901931379,0.005102040816326530608655985615586377300955
+15,32,290,14.99999999999999997617800569990822682097,0.004444444444444444437386075762935770909937
+16,32,322,15.99999999999999998725044846978230921737,0.003906249999999999996887316520942946586272
+17,64,386,16.99999999999999997246819397217376316822,0.003460207612456747399240422139664922281343
+18,24,410,17.99999999999999998423183333702016037699,0.003086419753086419750382687472054211312928
+19,72,482,18.99999999999999996880169823548214163778,0.002770083102493074787695246863315664329749
+20,32,514,19.99999999999999998112804611360640925563,0.002499999999999999997641005764200801156959
+21,48,562,20.99999999999999996516816604139649373401,0.00226757369614512471279215700695351406262
+22,40,602,21.99999999999999993928652598447016771278,0.002066115702479338837273340156317634082722
+23,88,690,22.99999999999999996156011937708003228705,0.001890359168241965970375615959322760934254
+24,32,722,23.99999999999999993607030886418609442456,0.001736111111111111106486567481494943173081
+25,80,802,24.99999999999999995797209505608777000197,0.001599999999999999997310214083589617280126
+26,48,850,25.99999999999999993281600755177370344697,0.001479289940828402363041420548007151994022
+27,72,922,26.99999999999999995440004111129795167505,0.001371742112482853221277246411182134414219
+28,48,970,27.99999999999999992953142021007181139491,0.001275510204081632649851103325896128434538
+29,112,1082,28.99999999999999995084090419524002160132,0.001189060642092746728067608520039362893164
+30,32,1114,29.99999999999999992622237158953423099432,0.001111111111111111108378606355167934481275
+"""
+
+
+@pytest.mark.parametrize(
+    ("argv", "want"),
+    [
+        pytest.param(["arakelov", "--grouped", "30", "--degrees", "1", "--s", "3"], GROUPED_30_64, id="grouped-64"),
+        pytest.param(
+            ["--precision-bits", "128", "arakelov", "--grouped", "30", "--degrees", "1", "--s", "3"],
+            GROUPED_30_128,
+            id="grouped-128",
+        ),
+        pytest.param(
+            ["arakelov", "--duality", "--degrees", "1,2", "--s", "3", "--cutoff", "50"],
+            "duality-defect: 0.000000e+00\n",
+            id="duality-64",
+        ),
+        pytest.param(
+            ["--precision-bits", "128", "arakelov", "--duality", "--degrees", "1,2", "--s", "3", "--cutoff", "12"],
+            "duality-defect: 3.819165e-20\n",
+            id="duality-128",
+        ),
+    ],
+)
+def test_arakelov_grouped_and_duality_bytes(argv, want):
+    rc, out, err = run(argv)
+    assert (rc, err) == (0, "")
+    assert out == want
+
+
 def test_arakelov_enumerates_once(monkeypatch):
     calls = []
     pairs = adelic.arakelov._canonical_pairs

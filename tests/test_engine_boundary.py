@@ -28,3 +28,10 @@ def test_counting_needs_no_factorisation():
     # so the counting layer imports nothing from adelic.places
     lines = (SRC / "counts.py").read_text().splitlines()
     assert [line for line in lines if re.search(r"\bplaces\b|mobius", line)] == []
+
+
+def test_arakelov_needs_no_factorisation():
+    # height class multiplicities come from a totient sieve and gcd
+    # counts, and the grouped reference column from their running sum
+    lines = (SRC / "arakelov.py").read_text().splitlines()
+    assert [line for line in lines if re.search(r"\bplaces\b|euler_phi", line)] == []
