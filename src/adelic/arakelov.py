@@ -9,34 +9,37 @@ a covolume power, or the bare covolume power (which simply counts points
 when s=0).
 
 The restriction at a base point depends on the point only through its
-exact height squared, so the roughly (12/pi^2)*cutoff^2 base points fall
-into far fewer height classes.  A class is its height squared, its
-multiplicity and one canonical representative, counted without listing
-the points: 4*phi(N) points of height N >= 2 under the max metric (a
-totient sieve), one gcd per pair a, b >= 1 under the euclidean metric.
-The points themselves are listed only for the per-point rows and for a
-spec's point filter.  The restriction, the integrand, the covolume
-power, the term and its error bound are formed once per class and then
-repeated by the class multiplicity.  Terms are summed in a deterministic
-order (base height, then canonical coordinates) with exactly rounded
-accumulation.  The points of one class are contiguous in that order and
-all carry the identical floating term, so the repeated sequence is the
-one a per-point evaluation would sum, term for term: equal inputs give
-equal bits, and regrouping terms by height cannot change the value.
+exact height squared h^2: it is diag(h^(-2 m_1), ..., h^(-2 m_d)).  So
+the roughly (12/pi^2)*cutoff^2 base points fall into far fewer height
+classes, each just h^2 and its multiplicity, counted without listing the
+points: 4*phi(N) points of height N >= 2 under the max metric (a totient
+sieve), one gcd per pair a, b >= 1 under the euclidean metric; they are
+listed only for the per-point rows and a point filter.  The restriction
+(formed from h^2, not kept), the integrand, the covolume power, the
+term and its error bound are formed once per class, and the term is
+repeated by the class multiplicity.  Terms are summed in a
+deterministic order (base height, then canonical coordinates) with
+exactly rounded accumulation.  The points of one class are contiguous
+in that order and all carry the identical floating term, so the
+repeated sequence is the one a per-point evaluation would sum, term for
+term: equal inputs give equal bits, and regrouping terms by height
+cannot change the value.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 from math import gcd, isqrt
 from typing import Callable, Optional
 
 from .errors import CapacityError, ValidationError, brief
-from .heights import ArchKind, ProjPoint, canonical_vectors, restrict_bundle_sum
+from .exact import as_int, sqrt_or_float
+from .heights import ArchKind, ProjPoint, canonical_vectors
 from .lattice import (
     ENUM_CAP,
     HermitianLattice,
@@ -47,7 +50,6 @@ from .lattice import (
     _roundoff_allowance,
     lattice_zeta,
     theta,
-    vol,
 )
 from .numeric import Ctx, DEFAULT_CTX
 
@@ -86,10 +88,10 @@ class ArakelovSeriesSpec:
     point_filter: Optional[Callable[[ProjPoint], bool]] = None
 
     def __post_init__(self):
-        degrees = tuple(int(m) for m in self.bundle_degrees)
+        degrees = tuple(as_int(m, "bundle degree") for m in self.bundle_degrees)
         if not degrees:
             raise ValidationError("need at least one bundle degree")
-        cutoff = int(self.cutoff)
+        cutoff = as_int(self.cutoff, "cutoff")
         if cutoff < 1:
             raise ValidationError("cutoff must be a positive integer")
         object.__setattr__(self, "bundle_degrees", degrees)
@@ -144,15 +146,15 @@ class ProbeRow:
     stable: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _HeightClass:
-    """The base points sharing one exact height squared, with the term
-    they all contribute."""
+    """The base points sharing one exact height squared h^2, with the
+    term they all contribute; the restriction is formed from h^2 and not
+    kept (its det is h^(-2 (m_1 + ... + m_d)))."""
 
     height_sq: int
     count: int  # multiplicity: the number of base points in the class
     points: Optional[tuple]  # canonical pairs (a, b) in summation order, if listed
-    lattice: HermitianLattice
     phi_value: "complex | float"
     phi_error: float
     term: "complex | float"
@@ -162,7 +164,7 @@ class _HeightClass:
 def _base_box(cutoff) -> int:
     """The cutoff as an int, once its (cutoff + 1)*(2*cutoff + 1)
     candidate pairs are checked against ENUM_CAP."""
-    B = int(cutoff)
+    B = as_int(cutoff, "cutoff")
     if B < 1:
         raise ValidationError("cutoff must be a positive integer")
     candidates = (B + 1) * (2 * B + 1)
@@ -183,10 +185,10 @@ def _canonical_pairs(cutoff, arch: ArchKind) -> list[tuple[int, int, int]]:
     return canonical_vectors(1, arch, B * B)
 
 
-def _class_counts(cutoff, arch: ArchKind) -> list[tuple[int, int, tuple[int, int]]]:
-    """(h^2, multiplicity, one canonical pair) for every height class of
-    base points of height at most ``cutoff``, sorted by h^2: the classes
-    of ``_canonical_pairs``, counted without listing the pairs, under the
+def _class_counts(cutoff, arch: ArchKind) -> list[tuple[int, int]]:
+    """(h^2, multiplicity) for every height class of base points of
+    height at most ``cutoff``, sorted by h^2: the classes of
+    ``_canonical_pairs``, counted without listing the pairs, under the
     same cap.
     """
     B = _base_box(cutoff)
@@ -199,21 +201,16 @@ def _class_counts(cutoff, arch: ArchKind) -> list[tuple[int, int, tuple[int, int
             if phi[p] == p:
                 for k in range(p, B + 1, p):
                     phi[k] -= phi[k] // p
-        return [(1, 4, (0, 1))] + [(N * N, 4 * phi[N], (1, N)) for N in range(2, B + 1)]
+        return [(1, 4)] + [(N * N, 4 * phi[N]) for N in range(2, B + 1)]
     # (0, 1) and (1, 0) have h^2 = 1; every other canonical pair is
     # (a, +-b) with a, b >= 1 coprime, of h^2 = a^2 + b^2
     B2 = B * B
-    classes = {1: [2, (1, 0)]}
+    counts = Counter({1: 2})
     for a in range(1, B + 1):
         for b in range(1, isqrt(B2 - a * a) + 1):
             if gcd(a, b) == 1:
-                h2 = a * a + b * b
-                c = classes.get(h2)
-                if c is None:
-                    classes[h2] = [2, (a, b)]
-                else:
-                    c[0] += 2
-    return [(h2, n, rep) for h2, (n, rep) in sorted(classes.items())]
+                counts[a * a + b * b] += 2
+    return sorted(counts.items())
 
 
 def base_points_by_height(cutoff, arch=ArchKind.MAX, point_filter=None) -> list[ProjPoint]:
@@ -233,24 +230,21 @@ def base_points_by_height(cutoff, arch=ArchKind.MAX, point_filter=None) -> list[
 
 
 def _phi_factory(spec: ArakelovSeriesSpec, per_eps: float, ctx: Ctx, cap: int):
-    # one evaluation per distinct restriction; distinct height classes
-    # share a lattice only when every bundle degree is 0
-    cache: dict[HermitianLattice, tuple] = {}
-    d = spec.rank
+    # one evaluation per run of equal restrictions, remembering the last:
+    # classes arrive in ascending h^2 and share a restriction only when
+    # every bundle degree is 0, so a repeat follows its first occurrence
+    last: list = [None, None]
 
     def phi(L: HermitianLattice) -> tuple:
-        got = cache.get(L)
-        if got is None:
+        if L != last[0]:
             if spec.phi_kind is PhiKind.THETA:
                 sv = theta(L, 1, per_eps, ctx, cap)
-                got = (sv.value, sv.error_bound)
             elif spec.phi_kind is PhiKind.ZETA:
-                sv = lattice_zeta(L, d * spec.s, per_eps, ctx, cap)
-                got = (sv.value, sv.error_bound)
+                sv = lattice_zeta(L, spec.rank * spec.s, per_eps, ctx, cap)
             else:
-                got = (ctx.one, 0.0)
-            cache[L] = got
-        return got
+                sv = SeriesValue(ctx.one, 0.0, 1, True)
+            last[:] = L, (sv.value, sv.error_bound)
+        return last[1]
 
     return phi
 
@@ -259,20 +253,19 @@ def _height_classes(
     spec: ArakelovSeriesSpec, eps: float, ctx: Ctx, cap: int, with_points: bool = False
 ) -> list[_HeightClass]:
     """The series' base points grouped by exact height squared, in
-    summation order, each class carrying its multiplicity, its one
-    restriction and its term.
+    summation order, each class carrying its multiplicity and its term.
 
     The classes are counted without listing their points, unless
     ``with_points`` asks for the per-point rows or the spec's point
     filter has to see every point; then each class also carries its
-    canonical pairs.  The restriction depends only on the height, so any
-    point of a class gives it.  Each theta or zeta factor is evaluated to
-    eps divided by the number of points, so the total reported error
-    bound stays below eps plus the roundoff allowance.  With the zeta
-    integrand every class's two Lambda balls are counted by
-    ``_ball_rows`` before the first class is evaluated, so a class over
-    the cap is refused at once, with the error the evaluation would
-    raise when it reached that class.
+    canonical pairs.  The restriction is formed from h^2 alone and
+    dropped once the class term is formed.  Each theta or zeta factor is
+    evaluated to eps divided by the number of points, so the total
+    reported error bound stays below eps plus the roundoff allowance.
+    With the zeta integrand every distinct restriction's two Lambda
+    balls are counted by ``_ball_rows`` before the first class is
+    evaluated, so a class over the cap is refused at once, with the
+    error the evaluation would raise when it reached that class.
     """
     if not 0 < eps < math.inf:
         raise ValidationError("eps must be positive and finite")
@@ -286,25 +279,30 @@ def _height_classes(
                 listed[-1][1].append((a, b))
             else:
                 listed.append((h2, [(a, b)]))
-        members = [(h2, len(pts), pts[0], tuple(pts)) for h2, pts in listed]
+        counts = [(h2, len(pts)) for h2, pts in listed]
+        points = [tuple(pts) for _, pts in listed]
     else:
-        members = [(h2, n, rep, None) for h2, n, rep in _class_counts(spec.cutoff, spec.arch)]
-    per_eps = eps / max(1, sum(m[1] for m in members))
-    lattices = [restrict_bundle_sum(spec.bundle_degrees, ProjPoint(rep), spec.arch) for _, _, rep, _ in members]
+        counts, points = _class_counts(spec.cutoff, spec.arch), repeat(None)
+    per_eps = eps / max(1, sum(n for _, n in counts))
+
+    def restriction(h2: int) -> HermitianLattice:
+        return HermitianLattice.diagonal([Fraction(h2) ** -m for m in spec.bundle_degrees])
+
     if spec.phi_kind is PhiKind.ZETA:
-        # phi evaluates a repeated restriction once, so it is counted once
-        for L in dict.fromkeys(lattices):
+        # phi evaluates a run of equal restrictions once, so it is counted once
+        for L, _ in groupby(restriction(h2) for h2, _ in counts):
             for M, a, _, eps_side in _lambda_sides(L, spec.rank * spec.s, per_eps):
                 _ball_rows(M, _lambda_radius(M, a, eps_side), cap)
     phi = _phi_factory(spec, per_eps, ctx, cap)
     half_s = spec.s / 2
     out = []
-    for (h2, n, _, pts), L in zip(members, lattices):
+    for (h2, n), pts in zip(counts, points):
+        L = restriction(h2)
         val, err = phi(L)
         w = ctx.rational_power(L.det, half_s)
         term = val * w
         term_err = err * float(abs(w)) + _roundoff_allowance(float(abs(term)), ctx.bits)
-        out.append(_HeightClass(h2, n, pts, L, val, err, term, term_err))
+        out.append(_HeightClass(h2, n, pts, val, err, term, term_err))
     return out
 
 
@@ -330,14 +328,14 @@ def arakelov_term_rows(
     of its height class, formed once and shared by every point of the
     class; only the rows themselves are built per point.
     """
-    return _term_rows(_height_classes(spec, eps, ctx, cap, with_points=True))
+    return _term_rows(spec, _height_classes(spec, eps, ctx, cap, with_points=True))
 
 
-def _term_rows(classes: list[_HeightClass]) -> list[TermRow]:
+def _term_rows(spec: ArakelovSeriesSpec, classes: list[_HeightClass]) -> list[TermRow]:
     rows = []
     for c in classes:
         h2 = Fraction(c.height_sq)
-        covolume = vol(c.lattice)
+        covolume = sqrt_or_float(h2 ** -sum(spec.bundle_degrees))
         rows.extend(
             TermRow(
                 height_sq=h2,
@@ -377,7 +375,7 @@ def arakelov_series_and_rows(
     pass over the height classes: the base points are enumerated and
     every class term is evaluated once for both results."""
     classes = _height_classes(spec, eps, ctx, cap, with_points=True)
-    return _series_value(spec, classes, ctx), _term_rows(classes)
+    return _series_value(spec, classes, ctx), _term_rows(spec, classes)
 
 
 def theta_duality_defect(spec: ArakelovSeriesSpec, eps: float = 1e-12, ctx: Ctx = DEFAULT_CTX) -> float:
@@ -423,7 +421,7 @@ def grouped_series_coefficients(
     arch = ArchKind.parse(arch)
     if arch is not ArchKind.MAX:
         raise ValidationError("integer height grouping requires the max metric")
-    spec = ArakelovSeriesSpec(tuple(bundle_degrees), arch, s, int(n_max), PhiKind.THETA)
+    spec = ArakelovSeriesSpec(tuple(bundle_degrees), arch, s, n_max, PhiKind.THETA)
     out = []
     running = 0  # points of height at most N: 4*Phi(N)
     for c in _height_classes(spec, eps, ctx, ENUM_CAP):
@@ -462,7 +460,7 @@ def convergence_abscissa_probe(
     out = []
     for s0 in s_grid:
         s_c = complex(s0)
-        terms = [c.count * c.phi_value * ctx.rational_power(c.lattice.det, s_c / 2) for c in classes]
+        terms = [c.count * c.phi_value * ctx.rational_power(Fraction(1, c.height_sq), s_c / 2) for c in classes]
         partials = tuple(ctx.fsum_mixed([t for c, t in zip(classes, terms) if c.height_sq <= top * top]) for top in tops)
         inc1 = float(abs(partials[1] - partials[0]))
         inc2 = float(abs(partials[2] - partials[1]))

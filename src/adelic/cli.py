@@ -96,16 +96,21 @@ def _parse_fraction(text, name: str) -> Fraction:
 
 
 def _parse_scalar(text, name: str) -> complex:
-    """Rational or complex literal for series arguments."""
+    """Rational or complex literal for series arguments, finite as a
+    double: nan, inf and literals past the double range are refused."""
     t = str(text).strip()
     try:
-        return complex(Fraction(t))
+        z = complex(Fraction(t))
     except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        return complex(t)
-    except ValueError:
-        raise ValidationError(f"{name} must be a rational or complex literal, got {text!r}") from None
+        try:
+            z = complex(t)
+        except ValueError:
+            raise ValidationError(f"{name} must be a rational or complex literal, got {text!r}") from None
+    except OverflowError:
+        z = None
+    if z is None or not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValidationError(f"{name} must be finite in double precision, got {text!r}")
+    return z
 
 
 def _parse_int_list(text, name: str) -> list[int]:
@@ -614,7 +619,7 @@ def _cmd_tamagawa(args, ctx: Ctx):
     from .heights import ArchKind
     from .tamagawa import Pn, TamagawaSpec, peyre_constant_check, tamagawa_report
 
-    variety =_parse_variety(args.variety)
+    variety = _parse_variety(args.variety)
     if args.peyre_check:
         if not isinstance(variety, Pn):
             raise ValidationError("--peyre-check needs a projective space variety (P1 or P2)")
@@ -656,7 +661,7 @@ def _cmd_tamagawa(args, ctx: Ctx):
 def _st_product_formula():
     from .places import product_formula_check
 
-    rng =random.Random(20260822)
+    rng = random.Random(20260822)
     for _ in range(500):
         num = rng.randint(-(10**6), 10**6)
         den = rng.randint(1, 10**6)
@@ -685,7 +690,7 @@ def _st_theta_functional_equation():
 def _st_lambda_special_value():
     from .lattice import HermitianLattice, completed_lambda
 
-    sv =completed_lambda(HermitianLattice.identity(1), 2.0, 1e-12)
+    sv = completed_lambda(HermitianLattice.identity(1), 2.0, 1e-12)
     err = abs(complex(sv.value) - math.pi / 3)
     if err > 1e-10:
         raise AssertionError(f"lambda at s=2 off by {err:.3e}")
@@ -701,7 +706,7 @@ def _st_twist_consistency():
     from .places import INF, Place
     from .twist import AdelicGroupElement, compare_twisted, twisted_height_sq
 
-    rng =random.Random(7)
+    rng = random.Random(7)
     B = MetrizedLineBundle(1, 1, ArchKind.MAX)
     for _ in range(20):
         x = ProjPoint([rng.randint(1, 9), rng.randint(-9, 9)])
@@ -742,7 +747,7 @@ def _st_count_consistency():
     from .counts import count_Pn, enumerate_Pn, height_zeta_partial
     from .heights import ArchKind, MetrizedLineBundle
 
-    for n,arch, bound in ((1, ArchKind.MAX, 30), (1, ArchKind.L2, 15), (2, ArchKind.MAX, 6)):
+    for n, arch, bound in ((1, ArchKind.MAX, 30), (1, ArchKind.L2, 15), (2, ArchKind.MAX, 6)):
         B = MetrizedLineBundle(n, 1, arch)
         sieve = count_Pn(n, B, bound)
         listed = len(enumerate_Pn(n, B, bound))
@@ -758,7 +763,7 @@ def _st_fibration_shift():
     from .fibration import FibrationLineClass, FnPoint, HirzebruchSurface, character_shift_invariance, height_Fn, height_Fn_raw
     from .heights import ArchKind
 
-    rng =random.Random(11)
+    rng = random.Random(11)
     for _ in range(100):
         Y = HirzebruchSurface(rng.randint(0, 2))
         c = FibrationLineClass(rng.randint(0, 3), rng.randint(-2, 2), rng.randint(-2, 2))
@@ -787,7 +792,7 @@ def _st_fibration_shift():
 def _st_tamagawa_stability():
     from .tamagawa import Pn, TamagawaSpec, tamagawa_number
 
-    t1 =tamagawa_number(TamagawaSpec(variety=Pn(1), prime_cutoff=200))
+    t1 = tamagawa_number(TamagawaSpec(variety=Pn(1), prime_cutoff=200))
     t2 = tamagawa_number(TamagawaSpec(variety=Pn(1), prime_cutoff=400))
     if abs(t1.value - t2.value) > t1.error_estimate + t2.error_estimate:
         raise AssertionError("doubling the prime cutoff moved tau outside the stated budget")

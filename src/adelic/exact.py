@@ -26,6 +26,14 @@ def as_fraction(x) -> Fraction:
     raise ValidationError(f"expected an exact rational (int or Fraction), got {type(x).__name__}")
 
 
+def as_int(x, what: str) -> int:
+    """``x`` if it is an int; a bool, float, str or any other value is
+    refused rather than truncated."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise ValidationError(f"{what} must be an int, got {x!r}")
+
+
 def sqrt_or_float(x: Fraction):
     """sqrt(x) for x >= 0: an exact Fraction when x is the square of a
     rational, math.sqrt(float(x)) otherwise."""

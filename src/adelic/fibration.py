@@ -23,7 +23,7 @@ from operator import itemgetter
 from .arakelov import _canonical_pairs
 from .counts import _as_bound
 from .errors import CapacityError, ValidationError
-from .exact import int_root, sqrt_or_float
+from .exact import as_int, int_root, sqrt_or_float
 from .heights import ArchKind, ProjPoint, canonical_vectors
 from .places import Place, abs_v, euler_phi, support
 
@@ -37,7 +37,7 @@ class HirzebruchSurface:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n", abs(int(self.n)))
+        object.__setattr__(self, "n", abs(as_int(self.n, "surface parameter n")))
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class FibrationLineClass:
 
     def __post_init__(self):
         for name in ("k", "w", "j"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, name, as_int(getattr(self, name), f"line class entry {name}"))
 
     def shifted(self, n: int, steps: int = 1) -> "FibrationLineClass":
         """Equivalent representative with ``steps`` units of base degree

@@ -337,10 +337,17 @@ def _roundoff_allowance(value: float, bits: int) -> float:
 
 def _theta_1d(c2: Fraction, t: Fraction, eps: float, ctx: Ctx) -> tuple[object, float, int]:
     """Partial sum 1 + 2 sum_{1<=k<=K} exp(-pi t c2 k^2) with exact
-    geometric tail bound below eps.  Returns (value, tail_bound, terms)."""
-    a = math.pi * float(t) * float(c2)
-    if a <= 0:
-        raise ValidationError("theta needs t > 0 and a definite form")
+    geometric tail bound below eps.  Returns (value, tail_bound, terms).
+
+    The scale a = pi*t*c2 must be a positive double, and the term count
+    is checked against its cap before the first tail is evaluated: at a
+    tiny scale 1 - exp(-2a(K+1)) rounds to 0."""
+    try:
+        a = math.pi * float(t) * float(c2)
+    except OverflowError:
+        a = math.inf
+    if not 0 < a < math.inf:
+        raise ValidationError("rank-one theta scale pi*t*c^2 lies outside the double range")
 
     def tail(K: int) -> float:
         e = a * (K + 1) * (K + 1)
@@ -348,7 +355,10 @@ def _theta_1d(c2: Fraction, t: Fraction, eps: float, ctx: Ctx) -> tuple[object, 
             return 0.0
         return 2.0 * math.exp(-e) / (1.0 - math.exp(-2.0 * a * (K + 1)))
 
-    K = max(1, math.ceil(math.sqrt(max(math.log(4.0 / eps), 1.0) / a)))
+    k0 = math.sqrt(max(math.log(4.0 / eps), 1.0) / a)
+    if k0 > 10**8:
+        raise CapacityError("rank-one theta needs too many terms")
+    K = max(1, math.ceil(k0))
     while tail(K) >= eps:
         K *= 2
         if K > 10**8:
@@ -370,6 +380,12 @@ def theta(L: HermitianLattice, t, eps: float = 1e-12, ctx: Ctx = DEFAULT_CTX, ca
     tq = as_fraction(t)
     if tq <= 0:
         raise ValidationError("theta needs t > 0")
+    try:
+        tf = float(tq)
+    except OverflowError:
+        tf = math.inf
+    if not 0 < tf < math.inf:
+        raise ValidationError("theta needs t inside the double range")
     if not 0 < eps < math.inf:
         raise ValidationError("eps must be positive and finite")
     if eps < 1e-250:
@@ -397,7 +413,6 @@ def theta(L: HermitianLattice, t, eps: float = 1e-12, ctx: Ctx = DEFAULT_CTX, ca
                 return SeriesValue(value, err, terms, True)
             axis_eps /= 4.0
 
-    tf = float(tq)
     lam = float(_lambda_min_lower(L))
     R2 = max(d / (2.0 * math.pi * tf), 1.0)
     while _theta_tail_bound(d, tf, R2, lam) >= eps:

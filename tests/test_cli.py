@@ -15,6 +15,7 @@ import adelic.arakelov
 from adelic.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
+GRAM3 = str(ROOT / "bench" / "data" / "gram3.txt")
 
 
 def run(argv):
@@ -252,6 +253,52 @@ def test_non_finite_eps_refused(value):
         rc, out, err = run(argv)
         assert rc == 2 and out == "", argv
         assert err.startswith("error: validation: eps") and err.count("\n") == 1, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["arakelov", "--s", "nan", "--cutoff", "2"],
+        ["arakelov", "--s", "inf"],
+        ["arakelov", "--s", "1+infj"],
+        ["zeta", "--n", "1", "--s", "nan", "--H", "5"],
+        ["zeta", "--n", "1", "--s", "1e400", "--H", "5"],
+        ["lattice", "lambda", "--gram", "I1", "--s", "inf"],
+        ["lattice", "lambda", "--gram", "I1", "--s", "1e400"],
+        ["lattice", "zeta", "--gram", "I1", "--s", "1e400j"],
+    ],
+)
+def test_non_finite_s_refused(argv):
+    # nan and inf used to print nan values with exit 0, and a literal past
+    # the double range to exit 1 with an OverflowError traceback
+    rc, out, err = run(argv)
+    assert rc == 2 and out == "", argv
+    assert err == f"error: validation: --s must be finite in double precision, got {argv[argv.index('--s') + 1]!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["lattice", "theta", "--gram", "I2", "--t", "1e-55"], 3, "capacity: rank-one theta needs too many terms"),
+        (["lattice", "theta", "--gram", "I2", "--t", "1e400"], 2, "validation: theta needs t inside the double range"),
+        (["lattice", "theta", "--gram", GRAM3, "--t", "1e400"], 2, "validation: theta needs t inside the double range"),
+        (["lattice", "theta", "--gram", GRAM3, "--t", "1e-400"], 2, "validation: theta needs t inside the double range"),
+        (["lattice", "theta", "--gram", GRAM3, "--t", "1e-320"], 3, "capacity: theta truncation radius diverged"),
+        (["arakelov", "--degrees", "400", "--cutoff", "3"], 3, "capacity: rank-one theta needs too many terms"),
+        (
+            ["arakelov", "--degrees", "-400", "--cutoff", "3"],
+            2,
+            "validation: rank-one theta scale pi*t*c^2 lies outside the double range",
+        ),
+    ],
+)
+def test_theta_scale_out_of_range_refused(argv, code, message):
+    # all but the subnormal t on a dense Gram (already exit 3) exited 1
+    # with a ZeroDivisionError or OverflowError traceback: the term cap is
+    # now checked before the first tail is evaluated, and a t or a
+    # rank-one scale outside the double range is refused before any work
+    rc, out, err = run(argv)
+    assert (rc, out, err) == (code, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "0"])

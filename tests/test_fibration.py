@@ -38,6 +38,25 @@ def test_surface_normalizes_negative_class():
     assert HirzebruchSurface(0).n == 0
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: HirzebruchSurface(1.5),
+        lambda: HirzebruchSurface(-2.0),
+        lambda: HirzebruchSurface("1"),
+        lambda: HirzebruchSurface(True),
+        lambda: FibrationLineClass(1.5, 0, 1),
+        lambda: FibrationLineClass(1, 0.0, 1),
+        lambda: FibrationLineClass(1, 0, "1"),
+        lambda: FibrationLineClass(1, False, 1),
+    ],
+)
+def test_surface_and_class_refuse_non_integers(build):
+    # a float, bool or str is refused rather than truncated
+    with pytest.raises(ValidationError, match="must be an int, got"):
+        build()
+
+
 def test_point_canonicalization():
     P = FnPoint((2, 4), (6, -9))
     assert tuple(int(c) for c in P.base.coords) == (1, 2)
