@@ -1,10 +1,14 @@
 """Exact rational kernels shared by every layer.
 
-Rational coercion, square roots, integer roots and Gaussian elimination
-over ``fractions.Fraction``.  Nothing here rounds: every result is the
-exact value, so callers that agree on inputs agree to the bit.  Floats
-are refused rather than converted, since a float entry would carry its
-binary rounding into an exact pipeline.
+Rational coercion, square roots, integer roots and one fraction-free
+(Bareiss) elimination of integer matrices, which gives determinants,
+leading minors and, on [A | I] with back substitution, adjugates.  A
+rational matrix is scaled to an integer one by its common denominator
+first, so no ``Fraction`` arithmetic runs inside the elimination.
+Nothing here rounds: every result is the exact value, so callers that
+agree on inputs agree to the bit.  Floats are refused rather than
+converted, since a float entry would carry its binary rounding into an
+exact pipeline.
 """
 
 from __future__ import annotations
@@ -69,43 +73,65 @@ def is_diagonal(rows) -> bool:
     return all(v == 0 for i, row in enumerate(rows) for j, v in enumerate(row) if i != j)
 
 
-def _eliminate(rows, invert: bool):
-    """Gaussian elimination of a square matrix over Fraction, taking the
+def scaled_to_int(rows) -> tuple[int, list[list[int]]]:
+    """(c, c * rows) for a matrix of ints and Fractions, c the least common
+    denominator of its entries."""
+    c = math.lcm(*[v.denominator for r in rows for v in r])
+    return c, [[v.numerator * (c // v.denominator) for v in r] for r in rows]
+
+
+def bareiss(a: list[list[int]]):
+    """Fraction-free (Bareiss) elimination of the first n columns of the n
+    integer rows ``a`` (each of length >= n, modified in place), taking the
     first nonzero entry of each column as pivot.
 
-    Returns (det, reduced).  ``reduced`` is None when det == 0, else
-    [I | A^(-1)] from reducing [A | I] when ``invert`` is set.
+    Returns None when those columns are singular, else (swaps, D, pivots):
+    the number of row exchanges, the pivots D_0 = 1, D_1, ..., D_n, and
+    pivot row k's entries past its diagonal.  Each division by the
+    previous pivot is exact (Sylvester's identity): the rows stand for a
+    row permutation of ``a`` fixed in advance, whose leading minors are
+    the D_k, so D_n = (-1)^swaps det; entry j of pivot row k is its minor
+    on rows 0..k and columns 0..k-1, j.
     """
-    n = len(rows)
-    a = [[as_fraction(v) for v in r] for r in rows]
-    if invert:
-        a = [r + list(e) for r, e in zip(a, identity(n))]
-    d = Fraction(1)
+    n = len(a)
+    swaps, D, pivots = 0, [1], []
     for k in range(n):
-        p = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if p is None:
-            return Fraction(0), None
-        if p != k:
+        if not a[k][k]:
+            p = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if p is None:
+                return None
             a[k], a[p] = a[p], a[k]
-            d = -d
-        piv = a[k][k]
-        d *= piv
-        if invert:
-            a[k] = [v / piv for v in a[k]]
-        for i in range(n) if invert else range(k + 1, n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k] / a[k][k]
-                a[i] = [vi - f * vk for vi, vk in zip(a[i], a[k])]
-    return d, a
+            swaps += 1
+        piv, prev, tail = a[k][k], D[k], a[k][k + 1 :]
+        pivots.append(tuple(tail))
+        for row in a[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [(piv * v - f * w) // prev for v, w in zip(row[k + 1 :], tail)]
+        D.append(piv)
+    return swaps, D, pivots
 
 
 def det(rows) -> Fraction:
-    return _eliminate(rows, False)[0]
+    c, a = scaled_to_int([[as_fraction(v) for v in r] for r in rows])
+    e = bareiss(a)
+    return Fraction(0) if e is None else Fraction((-1) ** e[0] * e[1][-1], c ** len(a))
 
 
-def inverse(rows) -> Matrix:
-    d, reduced = _eliminate(rows, True)
-    if d == 0:
-        raise ValidationError("matrix is singular")
-    n = len(reduced)
-    return tuple(tuple(r[n:]) for r in reduced)
+def adjugate(a: list[list[int]]):
+    """(D_n, X) with X A = D_n I for the square integer matrix A = ``a``,
+    or None when A is singular: D_n = (-1)^swaps det A is the last pivot of
+    ``bareiss`` on [A | I], so X = (-1)^swaps adj A.  The pivot rows hold
+    U | R with U upper triangular, diag(U) = D_1..D_n and A^(-1) = U^(-1) R,
+    so X follows by back substitution from the last row up, each row
+    divided exactly by its pivot since X is an integer matrix.
+    """
+    n = len(a)
+    e = bareiss([list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)])
+    if e is None:
+        return None
+    _, D, pivots = e
+    x = []  # rows k + 1..n - 1 of X
+    for k in reversed(range(n)):
+        u, r = pivots[k][: n - k - 1], pivots[k][n - k - 1 :]
+        x.insert(0, [(D[n] * rj - sum(ui * row[j] for ui, row in zip(u, x))) // D[k + 1] for j, rj in enumerate(r)])
+    return D[n], x

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .errors import SectionZeroError, ValidationError
-from .exact import as_fraction, sqrt_or_float
+from .exact import as_fraction, as_int, sqrt_or_float
 from .lattice import HermitianLattice
 from .places import INF, Place, abs_v, is_prime, support
 
@@ -125,10 +125,9 @@ class MetrizedLineBundle:
     arch: ArchKind
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if as_int(self.n, "ambient dimension") < 1:
             raise ValidationError(f"ambient dimension must be an int >= 1, got {self.n!r}")
-        if not isinstance(self.m, int) or isinstance(self.m, bool):
-            raise ValidationError(f"bundle degree must be an int, got {self.m!r}")
+        as_int(self.m, "bundle degree")
         if not isinstance(self.arch, ArchKind):
             object.__setattr__(self, "arch", ArchKind.parse(self.arch))
 
@@ -141,7 +140,7 @@ class Section:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        e = tuple(int(v) for v in self.exponents)
+        e = tuple(as_int(v, "section exponent") for v in self.exponents)
         object.__setattr__(self, "exponents", e)
         if len(e) != self.bundle.n + 1:
             raise ValidationError("section exponent vector length must be n + 1")
@@ -301,4 +300,4 @@ def restrict_bundle_sum(degrees, x: ProjPoint, arch) -> HermitianLattice:
     if not degrees:
         raise ValidationError("need at least one bundle degree")
     h2 = _gauge_sq_arch(x.coords, arch)
-    return HermitianLattice.diagonal([h2 ** -int(m) for m in degrees])
+    return HermitianLattice.diagonal([h2 ** -as_int(m, "bundle degree") for m in degrees])

@@ -35,7 +35,7 @@ from itertools import chain
 from operator import mul
 
 from .errors import CapacityError, PoleError, ValidationError
-from .exact import as_fraction, identity, inverse, is_diagonal, sqrt_or_float
+from .exact import adjugate, as_fraction, bareiss, identity, is_diagonal, scaled_to_int, sqrt_or_float
 from .numeric import Ctx, DEFAULT_CTX, fsum_c
 
 ENUM_CAP = 5_000_000
@@ -77,12 +77,18 @@ class TransformDefect:
 
 
 class HermitianLattice:
-    """Z^d with an exact symmetric positive definite Gram matrix."""
+    """Z^d with an exact symmetric positive definite Gram matrix.
 
-    __slots__ = ("gram", "rank", "_det", "_int_scale", "_int_minors", "_int_pivots", "_inv")
+    Construction runs the forward elimination ``exact.bareiss`` of the
+    integer Gram A = c G once, for the definiteness test and the
+    Fincke-Pohst data; the adjugate behind the dual and the eigenvalue
+    bound is formed only when one of them is first asked for.
+    """
+
+    __slots__ = ("gram", "rank", "_int_scale", "_int_minors", "_int_pivots", "_adj")
 
     def __init__(self, gram):
-        rows = [tuple(as_fraction(v) for v in row) for row in gram]
+        rows = [tuple(map(as_fraction, row)) for row in gram]
         d = len(rows)
         if d == 0:
             raise ValidationError("lattice rank must be at least 1")
@@ -94,29 +100,21 @@ class HermitianLattice:
                 if rows[i][j] != rows[j][i]:
                     raise ValidationError("Gram matrix must be symmetric")
         # Fincke-Pohst data of the integer Gram A = c G (c the common
-        # denominator) from one fraction-free Bareiss elimination, whose
-        # divisions by the previous pivot are exact (Sylvester's identity):
-        # the pivots are the leading minors D_k = c^k det(G_k), D_0 = 1, and
-        # row k past its diagonal D_(k+1), after k eliminations, is pivot row k.
-        scale = math.lcm(*(v.denominator for row in rows for v in row))
-        a = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
-        D, pivots = [1], []
-        for k in range(d):
-            p, prev, tail = a[k][k], D[k], a[k][k + 1 :]
-            if p <= 0:
-                raise ValidationError("Gram matrix must be positive definite")
-            pivots.append(tuple(tail))
-            for row in a[k + 1 :]:
-                f = row[k]
-                row[k + 1 :] = [(p * v - f * w) // prev for v, w in zip(row[k + 1 :], tail)]
-            D.append(p)
+        # denominator) from one fraction-free elimination: G is positive
+        # definite exactly when it exchanges no row and every pivot, the
+        # leading minor D_k = c^k det(G_k), is positive; pivot row k holds
+        # row k past its diagonal D_(k+1) after k eliminations
+        scale, a = scaled_to_int(rows)
+        e = bareiss(a)
+        if e is None or e[0] or min(e[1]) <= 0:
+            raise ValidationError("Gram matrix must be positive definite")
+        _, D, pivots = e
         self.gram = tuple(rows)
         self.rank = d
-        self._det = Fraction(D[d], scale**d)
         self._int_scale = scale
         self._int_minors = tuple(D)
         self._int_pivots = tuple(pivots)
-        self._inv = None
+        self._adj = None
 
     @classmethod
     def identity(cls, d: int) -> "HermitianLattice":
@@ -138,7 +136,7 @@ class HermitianLattice:
 
     @property
     def det(self) -> Fraction:
-        return self._det
+        return Fraction(self._int_minors[-1], self._int_scale**self.rank)
 
     def norm_sq(self, x) -> Fraction:
         """Exact |x|^2 = x^T G x of an integer vector, from G itself; the
@@ -160,16 +158,18 @@ def arithmetic_degree(L: HermitianLattice) -> float:
     return -0.5 * math.log(float(L.det))
 
 
-def _gram_inverse(L: HermitianLattice):
-    """G^(-1), computed once per lattice."""
-    if L._inv is None:
-        L._inv = inverse(L.gram)
-    return L._inv
+def _adjugate(L: HermitianLattice) -> list[list[int]]:
+    """adj(A) = D_d A^(-1) of the integer Gram A = c G, formed on first use
+    (a dual or an eigenvalue bound) rather than with the lattice."""
+    if L._adj is None:
+        L._adj = adjugate(scaled_to_int(L.gram)[1])[1]
+    return L._adj
 
 
 def dual(L: HermitianLattice) -> HermitianLattice:
-    """Dual lattice, Gram matrix G^(-1)."""
-    return HermitianLattice(_gram_inverse(L))
+    """Dual lattice, Gram matrix G^(-1) = c adj(A) / D_d."""
+    c, Dd = L._int_scale, L._int_minors[-1]
+    return HermitianLattice([[Fraction(c * v, Dd) for v in row] for row in _adjugate(L)])
 
 
 def direct_sum(L1: HermitianLattice, L2: HermitianLattice) -> HermitianLattice:
@@ -304,9 +304,8 @@ def _theta1_upper(u: float) -> float:
 
 def _lambda_min_lower(L: HermitianLattice) -> Fraction:
     """Exact positive lower bound for the smallest Gram eigenvalue:
-    1 / ||G^(-1)||_inf."""
-    row_sums = [sum(abs(v) for v in row) for row in _gram_inverse(L)]
-    return 1 / max(row_sums)
+    1 / ||G^(-1)||_inf = D_d / (c max_i sum_j |adj(A)_ij|)."""
+    return Fraction(L._int_minors[-1], L._int_scale * max(sum(map(abs, row)) for row in _adjugate(L)))
 
 
 def _theta_tail_bound(d: int, t: float, R2: float, lam_lb: float) -> float:
@@ -401,12 +400,13 @@ def theta(L: HermitianLattice, t, eps: float = 1e-12, ctx: Ctx = DEFAULT_CTX, ca
                 vals.append(v)
                 tails.append(tl)
                 terms += 2 * k + 1
-            prod = ctx.one
-            prod_up = 1.0
+            # the bound's product is formed in the context's precision:
+            # at 128 bits a difference of two doubles is rounding noise
+            prod = prod_up = ctx.one
             for v, tl in zip(vals, tails):
                 prod = prod * v
-                prod_up *= float(v) + tl
-            tail_total = prod_up - float(prod)
+                prod_up = prod_up * (v + tl)
+            tail_total = float(prod_up - prod)
             if tail_total < eps or axis_eps < 1e-280:
                 value = prod
                 err = tail_total + _roundoff_allowance(float(value), ctx.bits)

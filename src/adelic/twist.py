@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SectionZeroError, ValidationError
-from .exact import Matrix, as_fraction, det, identity, is_diagonal, sqrt_or_float
+from .exact import Matrix, as_fraction, as_int, det, identity, is_diagonal, sqrt_or_float
 from .heights import MetrizedLineBundle, ProjPoint, Section, _gauge_sq, local_norm_sq
 from .places import INF, Place, abs_v, content, support
 
@@ -84,7 +84,7 @@ class Character:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(int(v) for v in self.exponents))
+        object.__setattr__(self, "exponents", tuple(as_int(v, "character exponent") for v in self.exponents))
 
     def value(self, diag_matrix: Matrix) -> Fraction:
         if not is_diagonal(diag_matrix):

@@ -581,7 +581,7 @@ N,count,reference_coefficient,theta_value,term
         ),
         pytest.param(
             ["--precision-bits", "128", "arakelov", "--duality", "--degrees", "1,2", "--s", "3", "--cutoff", "12"],
-            "duality-defect: 3.819165e-20\n",
+            "duality-defect: 3.817439e-20\n",
             id="duality-128",
         ),
     ],

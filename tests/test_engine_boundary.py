@@ -35,3 +35,20 @@ def test_arakelov_needs_no_factorisation():
     # counts, and the grouped reference column from their running sum
     lines = (SRC / "arakelov.py").read_text().splitlines()
     assert [line for line in lines if re.search(r"\bplaces\b|euler_phi", line)] == []
+
+
+def test_one_exact_elimination():
+    # exact.bareiss is the one elimination: no other module runs a
+    # fraction-free row update, the lattice imports no inverse, and
+    # exact.py keeps no Gauss-Jordan over Fraction
+    offenders = [
+        f"{p.name}:{n}: {line.strip()}"
+        for p in sorted(SRC.glob("*.py"))
+        if p.name != "exact.py"
+        for n, line in enumerate(p.read_text().splitlines(), 1)
+        if re.search(r"//\s*prev\b", line)
+    ]
+    assert offenders == []
+    lattice = (SRC / "lattice.py").read_text().splitlines()
+    assert [line for line in lattice if re.search(r"import.*\binverse\b", line)] == []
+    assert re.findall(r"\binvert\b|\bdef (inverse|_eliminate)\b|/ piv\b", (SRC / "exact.py").read_text()) == []

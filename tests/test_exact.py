@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from adelic.errors import ValidationError
-from adelic.exact import as_fraction, det, identity, int_root, inverse, is_diagonal, sqrt_or_float
-from adelic.lattice import HermitianLattice
+from adelic.exact import adjugate, as_fraction, bareiss, det, identity, int_root, is_diagonal, scaled_to_int, sqrt_or_float
+from adelic.lattice import HermitianLattice, _lambda_min_lower, dual
+from adelic.twist import AdelicGroupElement
 
 
 def cofactor_det(m) -> Fraction:
@@ -35,6 +36,14 @@ def random_positive_definite(rng, n):
     return [[sum(r[i] * r[j] for r in b) + (i == j) for j in range(n)] for i in range(n)]
 
 
+def cofactor_inverse(m):
+    """m^(-1) from cofactors: entry (i, j) is (-1)^(i+j) det(m without row
+    j and column i) / det(m)."""
+    n, d = len(m), cofactor_det(m)
+    minor = [[cofactor_det([r[:i] + r[i + 1 :] for k, r in enumerate(m) if k != j]) for j in range(n)] for i in range(n)]
+    return tuple(tuple((-1) ** (i + j) * minor[i][j] / d for j in range(n)) for i in range(n))
+
+
 def test_elimination_against_cofactor_expansion():
     rng = random.Random(5)
     singular = 0
@@ -43,14 +52,20 @@ def test_elimination_against_cofactor_expansion():
         m = random_matrix(rng, n)
         d = det(m)
         assert d == cofactor_det(m)
+        c, a = scaled_to_int(m)
+        assert c == math.lcm(*(v.denominator for row in m for v in row))
+        assert a == [[c * v for v in row] for row in m]
         if d == 0:
             singular += 1
-            with pytest.raises(ValidationError):
-                inverse(m)
+            assert bareiss([list(r) for r in a]) is None and adjugate(a) is None
             continue
-        inv = inverse(m)
-        prod = tuple(tuple(sum(inv[i][k] * m[k][j] for k in range(n)) for j in range(n)) for i in range(n))
-        assert prod == identity(n)
+        # X A = D_n I with D_n = (-1)^swaps det A, the last pivot of [A | I]
+        Dn, x = adjugate(a)
+        swaps = bareiss([list(r) for r in a])[0]
+        assert Dn == (-1) ** swaps * cofactor_det(a)
+        assert [[sum(x[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == [
+            [Dn * (i == j) for j in range(n)] for i in range(n)
+        ]
     assert 0 < singular < 300
     for _ in range(100):
         n = rng.randint(1, 5)
@@ -65,14 +80,39 @@ def test_elimination_against_cofactor_expansion():
         for k in range(n):
             want = tuple(cofactor_det([[r[c] for c in (*range(k), j)] for r in a[: k + 1]]) for j in range(k + 1, n))
             assert L._int_pivots[k] == want
+        inv = cofactor_inverse(g)
+        assert dual(L).gram == inv
+        assert _lambda_min_lower(L) == 1 / max(sum(abs(v) for v in row) for row in inv)
+        assert dual(dual(L)).gram == L.gram
 
 
 def test_indefinite_gram_rejected():
-    for g in ([[0, 1], [1, 0]], [[1, 2], [2, 1]], [[1, 0], [0, -1]], [[0]], [[1, 1], [1, 1]], [[2, 0, 1], [0, 0, 0], [1, 0, 2]]):
-        with pytest.raises(ValidationError, match="positive definite"):
+    # [[0, 1], [1, 1]] has a zero leading minor but positive pivots after
+    # one row exchange; a definite Gram needs no exchange
+    for g in (
+        [[0, 1], [1, 1]],
+        [[0, 1], [1, 0]],
+        [[1, 2], [2, 1]],
+        [[1, 0], [0, -1]],
+        [[0]],
+        [[-1]],
+        [[1, 1], [1, 1]],
+        [[2, 0, 1], [0, 0, 0], [1, 0, 2]],
+    ):
+        with pytest.raises(ValidationError) as exc:
             HermitianLattice(g)
+        assert str(exc.value) == "Gram matrix must be positive definite"
+    with pytest.raises(ValidationError) as exc:
+        HermitianLattice([[1, 2], [0, 1]])
+    assert str(exc.value) == "Gram matrix must be symmetric"
     L = HermitianLattice([[2, 1], [1, 2]])
     assert L.det == 3
+
+
+def test_singular_twist_matrix_refused():
+    with pytest.raises(ValidationError) as exc:
+        AdelicGroupElement(2, default=[[1, 2], [2, 4]])
+    assert str(exc.value) == "group element matrices must be invertible"
 
 
 def test_is_diagonal_and_identity():

@@ -22,6 +22,7 @@ from adelic.heights import (
 )
 from adelic.lattice import arithmetic_degree, dual, vol
 from adelic.places import INF, Place
+from adelic.twist import Character
 
 B_MAX = MetrizedLineBundle(1, 1, ArchKind.MAX)
 
@@ -94,6 +95,25 @@ def test_bundle_validation():
     with pytest.raises(ValidationError):
         ArchKind.parse("sup")
     assert ArchKind.parse("MAX") is ArchKind.MAX
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Section(B_MAX, (1.5, 0)),
+        lambda: Section(B_MAX, (True, 0)),
+        lambda: Character((2.7, "3")),
+        lambda: Character(("3",)),
+        lambda: restrict_bundle_sum([1.9], ProjPoint((2, 3)), "max"),
+        lambda: MetrizedLineBundle(True, 1, "max"),
+        lambda: MetrizedLineBundle(1.0, 1, "max"),
+        lambda: MetrizedLineBundle(1, False, "max"),
+    ],
+)
+def test_integer_parameters_refuse_non_integers(build):
+    # a float, bool or str is refused rather than truncated
+    with pytest.raises(ValidationError, match="must be an int, got"):
+        build()
 
 
 def test_section_validation():

@@ -413,6 +413,34 @@ def test_theta_high_precision_context():
         assert abs(mpmath.mpf(t.value) - ref) < mpmath.mpf(10) ** -28
 
 
+
+def _skewed_diagonal(h):
+    # the restriction diag(h^-2, h, h^-3) of the Euclidean (2, -1, 3)
+    # Arakelov theta series, whose product reaches about 1.2e5 at h = 109
+    return HermitianLattice.diagonal([Fraction(1, h**2), h, Fraction(1, h**3)])
+
+
+@pytest.mark.parametrize("h", [10, 30, 50, 70, 90, 109])
+def test_theta_diagonal_128_bit_bound(h):
+    # the tail of the diagonal product is bounded in the context's
+    # precision, so the bound is nonnegative and holds at 128 bits
+    t = theta(_skewed_diagonal(h), 1, 1e-9 / 132, Ctx(128))
+    assert t.error_bound >= 0
+    with mpmath.workprec(256):
+        ref = mpmath.fprod(mpmath.jtheta(3, 0, mpmath.exp(-mpmath.pi * mpmath.mpf(c.numerator) / c.denominator))
+                           for c in (Fraction(1, h**2), Fraction(h), Fraction(1, h**3)))
+        assert abs(mpmath.mpf(t.value) - ref) <= t.error_bound
+
+
+def test_theta_diagonal_128_bit_terms_match_64_bit():
+    L = _skewed_diagonal(109)
+    want = theta(L, 1, 1e-9 / 132).terms_used
+    t0 = time.perf_counter()
+    got = theta(L, 1, 1e-9 / 132, Ctx(128)).terms_used
+    assert time.perf_counter() - t0 < 2.0
+    assert got == want == 15285
+
+
 # -- incomplete gamma oracle ------------------------------------------
 
 
