@@ -28,9 +28,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from operator import mul
 
@@ -153,23 +155,43 @@ def vol(L: HermitianLattice):
     return sqrt_or_float(L.det)
 
 
+def _det_float(L: HermitianLattice, what: str) -> float:
+    """det(G) as a positive finite double; ValidationError when it lies
+    outside the double range (overflows, or rounds to 0)."""
+    try:
+        f = float(L.det)
+    except OverflowError:
+        f = math.inf
+    if not 0 < f < math.inf:
+        raise ValidationError(f"{what} needs det(G) inside the double range")
+    return f
+
+
 def arithmetic_degree(L: HermitianLattice) -> float:
     """-log vol(L)."""
-    return -0.5 * math.log(float(L.det))
+    return -0.5 * math.log(_det_float(L, "arithmetic degree"))
 
 
 def _adjugate(L: HermitianLattice) -> list[list[int]]:
     """adj(A) = D_d A^(-1) of the integer Gram A = c G, formed on first use
-    (a dual or an eigenvalue bound) rather than with the lattice."""
+    (a dual or an eigenvalue bound) rather than with the lattice; a dual
+    lattice gets it from ``dual`` instead."""
     if L._adj is None:
         L._adj = adjugate(scaled_to_int(L.gram)[1])[1]
     return L._adj
 
 
 def dual(L: HermitianLattice) -> HermitianLattice:
-    """Dual lattice, Gram matrix G^(-1) = c adj(A) / D_d."""
+    """Dual lattice, Gram matrix G^(-1) = c adj(A) / D_d.
+
+    The dual is handed its own adjugate, which needs no elimination: its
+    integer Gram is A' = c' G^(-1), so adj(A') = D'_d A'^(-1) = D'_d G / c'
+    with D'_d = det A', an integer matrix read off G itself."""
     c, Dd = L._int_scale, L._int_minors[-1]
-    return HermitianLattice([[Fraction(c * v, Dd) for v in row] for row in _adjugate(L)])
+    Ld = HermitianLattice([[Fraction(c * v, Dd) for v in row] for row in _adjugate(L)])
+    c2, Dd2 = Ld._int_scale, Ld._int_minors[-1]
+    Ld._adj = [[Dd2 * g.numerator // (c2 * g.denominator) for g in row] for row in L.gram]
+    return Ld
 
 
 def direct_sum(L1: HermitianLattice, L2: HermitianLattice) -> HermitianLattice:
@@ -439,10 +461,11 @@ def theta_functional_equation_defect(L: HermitianLattice, t, eps: float = 1e-12,
     tq = as_fraction(t)
     if tq <= 0:
         raise ValidationError("theta needs t > 0")
+    det = _det_float(L, "the theta functional equation")
     lhs = theta(L, tq, eps, ctx)
     Ld = dual(L)
     rhs = theta(Ld, 1 / tq, eps, ctx)
-    factor = 1.0 / (math.sqrt(float(L.det)) * float(tq) ** (L.rank / 2.0))
+    factor = 1.0 / (math.sqrt(det) * float(tq) ** (L.rank / 2.0))
     defect = abs(float(lhs.value) - factor * float(rhs.value))
     allowance = lhs.error_bound + factor * rhs.error_bound + _roundoff_allowance(factor * float(rhs.value), ctx.bits)
     return TransformDefect(defect, allowance, lhs, rhs)
@@ -473,8 +496,24 @@ def _lambda_radius(L: HermitianLattice, a: complex, eps_side: float) -> Fraction
 
 def _gamma_term_sum(L: HermitianLattice, a: complex, eps_side: float, ctx: Ctx, cap: int):
     """sum over nonzero e in L of G(a, pi |e|^2), truncated; returns
-    (sum, nonzero term count)."""
-    norms = _norm_multiplicities(_enumerate_scaled(L, _lambda_radius(L, a, eps_side), cap))
+    (sum, nonzero term count).
+
+    The two most recent sums are kept, keyed on exactly what they depend
+    on: L (its Gram), the bits of a (so -0.0 and 0.0 differ), the radius
+    R^2 that eps_side gives, ctx and cap.  Lambda(L, s) and
+    Lambda(dual, d - s) are built from the same two sums, so the second
+    Lambda of such a pair reads both back unless d - (d - s) != s in
+    floating point.  eps_side is not the key: the pair's two weights
+    det^(1/4) and 1/det(dual)^(1/4) may round apart while the radius
+    agrees.  A hit returns the object the same computation made, so no
+    value, bound or term count depends on the memo."""
+    return _gamma_term_sum_at(L, struct.pack("<2d", a.real, a.imag), _lambda_radius(L, a, eps_side), ctx, cap)
+
+
+@lru_cache(maxsize=2)
+def _gamma_term_sum_at(L: HermitianLattice, a_bits: bytes, R2: Fraction, ctx: Ctx, cap: int):
+    a = complex(*struct.unpack("<2d", a_bits))
+    norms = _norm_multiplicities(_enumerate_scaled(L, R2, cap))
     c = L._int_scale
     terms = [mult * ctx.upper_G(a, ctx.pi * ctx.real(Fraction(q, c))) for q, mult in norms]
     return ctx.fsum_complex(terms), sum(mult for _, mult in norms)
@@ -485,13 +524,14 @@ def _lambda_sides(L: HermitianLattice, s: complex, eps: float) -> tuple:
     eps_side): L at a = s/2 with weight sqrt(vol), then the dual at
     (d - s)/2 with weight 1/sqrt(vol), eps split between them by weight.
     Raises PoleError at s = 0 and s = d, and ValidationError unless
-    0 < eps < inf, before any ball is enumerated."""
+    0 < eps < inf and det(G) lies inside the double range, before any
+    ball is enumerated."""
     d = L.rank
     if s == 0 or s == complex(d):
         raise PoleError(f"Lambda has a pole at s = {s}")
     if not 0 < eps < math.inf:
         raise ValidationError("eps must be positive and finite")
-    sv_f = float(L.det) ** 0.25  # sqrt of the covolume
+    sv_f = _det_float(L, "Lambda") ** 0.25  # sqrt of the covolume
     sides = ((L, s / 2.0, sv_f), (dual(L), (d - s) / 2.0, 1.0 / sv_f))
     return tuple((M, a, w, eps / (2.0 * max(w, 1.0))) for M, a, w in sides)
 
@@ -511,6 +551,10 @@ def completed_lambda(L: HermitianLattice, s, eps: float = 1e-12, ctx: Ctx = DEFA
     tails of both gamma-term sums plus roundoff; the incomplete gamma
     values themselves are evaluated to working precision, so ``rigorous``
     is False.
+
+    A functional-equation pair Lambda(L, s), Lambda(dual, d - s) sums each
+    of its two gamma-term sums once: ``_gamma_term_sum`` keeps the two
+    most recent sums, keyed on their exact inputs.
     """
     s = complex(s)
     d = L.rank
@@ -563,6 +607,7 @@ def zeta_direct_truncated(
     Rq = as_fraction(radius)
     if Rq <= 0:
         raise ValidationError("radius must be positive")
+    sqrt_det = math.sqrt(_det_float(L, "direct zeta"))
     counts = Counter(_enumerate_scaled(L, Rq * Rq, cap))
     c = L._int_scale
     half = -s / 2.0
@@ -570,9 +615,9 @@ def zeta_direct_truncated(
     nterms = 2 * counts.total()
     Rf = float(Rq)
     surf = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    tail_size = (surf / math.sqrt(float(L.det))) * Rf ** (d - s.real) / (s.real - d)
+    tail_size = (surf / sqrt_det) * Rf ** (d - s.real) / (s.real - d)
     if tail_correction:
-        corr = (surf / math.sqrt(float(L.det))) * Rf ** complex(d - s.real, -s.imag) / (s - d)
+        corr = (surf / sqrt_det) * Rf ** complex(d - s.real, -s.imag) / (s - d)
         value = value + corr
         est = tail_size * (d / 2.0 + abs(s) / 2.0 + 1.0) / (math.pi * Rf * Rf)
     else:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import adelic.arakelov
+import adelic.lattice
 from adelic.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -299,6 +300,34 @@ def test_theta_scale_out_of_range_refused(argv, code, message):
     # rank-one scale outside the double range is refused before any work
     rc, out, err = run(argv)
     assert (rc, out, err) == (code, "", f"error: {message}\n")
+
+
+HUGE, TINY = "1" + "0" * 400, "1/1" + "0" * 400
+WIDE, NARROW = "1" + "0" * 200, "1/1" + "0" * 200
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lattice", "lambda", "--gram", f"diag:{HUGE},1", "--s", "1.3"], "Lambda"),
+        (["lattice", "zeta", "--gram", f"diag:{HUGE},1", "--s", "1.3"], "Lambda"),
+        (["--precision-bits", "128", "lattice", "lambda", "--gram", f"diag:{HUGE},1", "--s", "1.3"], "Lambda"),
+        (["--precision-bits", "128", "lattice", "zeta", "--gram", f"diag:{HUGE},1", "--s", "1.3"], "Lambda"),
+        (["lattice", "lambda", "--gram", f"diag:{TINY},1", "--s", "1.3"], "Lambda"),
+        (["lattice", "zeta", "--gram", f"diag:{TINY},1", "--s", "1.3"], "Lambda"),
+        # sqrt(det) t^(d/2) = 1, but det itself lies outside the double range
+        (["lattice", "check-fe", "--gram", f"diag:{WIDE},{WIDE}", "--t", NARROW], "the theta functional equation"),
+        (["lattice", "check-fe", "--gram", f"diag:{NARROW},{NARROW}", "--t", WIDE], "the theta functional equation"),
+    ],
+)
+def test_det_outside_double_range_refused(argv, message, monkeypatch):
+    # these exited 1 with an OverflowError or ZeroDivisionError traceback
+    def no_ball(*args):
+        raise AssertionError("a ball was enumerated")
+
+    monkeypatch.setattr(adelic.lattice, "_ball_rows", no_ball)
+    rc, out, err = run(argv)
+    assert (rc, out, err) == (2, "", f"error: validation: {message} needs det(G) inside the double range\n")
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "0"])

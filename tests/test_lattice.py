@@ -2,6 +2,7 @@ import cmath
 import math
 import operator
 import random
+import struct
 import time
 import tracemalloc
 from collections import Counter
@@ -12,11 +13,16 @@ import pytest
 
 import adelic.lattice as lattice
 from adelic.errors import CapacityError, PoleError, ValidationError
-from adelic.exact import is_diagonal
+from adelic.exact import adjugate, is_diagonal, scaled_to_int
 from adelic.lattice import (
+    ENUM_CAP,
     HermitianLattice,
     _ball_rows,
     _enumerate_scaled,
+    _gamma_term_sum,
+    _gamma_term_sum_at,
+    _lambda_min_lower,
+    _lambda_sides,
     arithmetic_degree,
     completed_lambda,
     direct_sum,
@@ -33,6 +39,8 @@ from helpers import random_lattice
 
 Z1 = HermitianLattice.identity(1)
 Z2 = HermitianLattice.identity(2)
+HUGE_DET = HermitianLattice.diagonal([10**400, 1])
+TINY_DET = HermitianLattice.diagonal([Fraction(1, 10**400), 1])
 SHEARED = HermitianLattice([[1, 10**8], [10**8, 10**16 + 1]])  # a basis of Z^2
 
 
@@ -63,6 +71,47 @@ def test_arithmetic_degree():
     assert arithmetic_degree(Z1) == 0.0
     L = HermitianLattice.diagonal([1, Fraction(1, 4)])
     assert abs(arithmetic_degree(L) - math.log(2)) < 1e-15
+
+
+@pytest.mark.parametrize("L", [HUGE_DET, TINY_DET], ids=["huge", "tiny"])
+def test_det_outside_double_range_refused(L, monkeypatch):
+    # these raised OverflowError, ZeroDivisionError or a math domain error
+    def no_ball(*args):
+        raise AssertionError("a ball was enumerated")
+
+    monkeypatch.setattr(lattice, "_ball_rows", no_ball)
+    for call, what in (
+        (lambda: arithmetic_degree(L), "arithmetic degree"),
+        (lambda: zeta_direct_truncated(L, 3.5, 10), "direct zeta"),
+        (lambda: completed_lambda(L, 1.3), "Lambda"),
+        (lambda: lattice_zeta(L, 1.3, ctx=Ctx(128)), "Lambda"),
+        (lambda: theta_functional_equation_defect(L, 1), "the theta functional equation"),
+    ):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == f"{what} needs det(G) inside the double range"
+
+
+def test_dual_adjugate_read_off_the_gram(monkeypatch):
+    """dual(L) hands the dual adj(A') = D'_d G / c', so the dual's
+    eigenvalue bound 1 / ||G||_inf costs no elimination (check-02 lattices)."""
+    rng = random.Random(20260822)
+    lats = [random_lattice(rng, rng.randint(1, 4)) for _ in range(40)]
+    for L in lats:
+        lattice._adjugate(L)
+    calls = []
+    monkeypatch.setattr(lattice, "adjugate", lambda a: calls.append(a) or adjugate(a))
+    for L in lats:
+        Ld = dual(L)
+        assert _lambda_min_lower(Ld) == 1 / max(sum(map(abs, row)) for row in L.gram)
+        assert dual(Ld).gram == L.gram
+        theta(Ld, 1)
+        assert not calls
+        assert Ld._adj == adjugate(scaled_to_int(Ld.gram)[1])[1]
+        calls.clear()
+    theta_functional_equation_defect(lats[0], 1)
+    completed_lambda(lats[0], 0.5 + 1j)
+    assert not calls
 
 
 def test_dual_involution_and_volume_product():
@@ -557,6 +606,136 @@ def test_lambda_high_precision_context():
     lam = completed_lambda(Z1, 2, eps=1e-25, ctx=ctx)
     with mpmath.workprec(160):
         assert abs(mpmath.mpc(lam.value) - mpmath.pi / 3) < mpmath.mpf(10) ** -22
+
+
+# -- the two-entry memo of gamma-term sums ---------------------------
+
+
+CHECK03 = (HermitianLattice([[2]]), HermitianLattice([[2, 1], [1, 2]]), HermitianLattice.diagonal([1, 2, 3]))
+DET14 = HermitianLattice([[3, 1], [1, 5]])  # its two side weights round one ulp apart
+
+
+def _bits(v):
+    if isinstance(v, (int, float, complex)):
+        return struct.pack("<2d", v.real, v.imag)
+    return v.real._mpf_, v.imag._mpf_
+
+
+def _same(x, y):
+    return (_bits(x.value), x.error_bound, x.terms_used) == (_bits(y.value), y.error_bound, y.terms_used)
+
+
+def _count_upper_G(monkeypatch, ctx):
+    calls = []
+    inner = ctx._upper_G
+    monkeypatch.setattr(ctx, "_upper_G", lambda a, x: calls.append(a) or inner(a, x))
+    return calls
+
+
+def test_det14_pair_shares_a_radius_not_an_eps():
+    # det^(1/4) and 1/det(dual)^(1/4) round one ulp apart, so the L side's
+    # eps_side differs between the halves of a pair while its radius agrees
+    s = 0.5 + 1j
+    (L, a1, w1, e1), _ = _lambda_sides(DET14, s, 1e-12)
+    _, (L2, a2, w2, e2) = _lambda_sides(dual(DET14), 2 - s, 1e-12)
+    assert L2 == L and a2 == a1 and w2 != w1 and e2 != e1
+    assert lattice._lambda_radius(L2, a2, e2) == lattice._lambda_radius(L, a1, e1)
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_lambda_pair_memo_is_bit_identical(bits):
+    """The second Lambda of a functional-equation pair, read from the memo,
+    equals a memo-free evaluation to the bit: value, bound, term count."""
+    ctx = Ctx(bits)
+    rng = random.Random(25)
+    lats = list(CHECK03) + [DET14] + [random_lattice(rng, d) for d in (1, 2, 3)]
+    for i, L in enumerate(lats):
+        d, Ld = L.rank, dual(L)
+        s_values = [complex(d / 2 + rng.uniform(-3.5, 3.5), rng.uniform(-2.0, 2.0)), complex(d / 2 + 0.3, -0.0)]
+        # at 128 bits the lattices take the two kinds of s in turn
+        for s in s_values if bits == 64 else s_values[i % 2 :][:1]:
+            _gamma_term_sum_at.cache_clear()
+            completed_lambda(L, s, 1e-12, ctx)
+            rhs = completed_lambda(Ld, d - s, 1e-12, ctx)
+            _gamma_term_sum_at.cache_clear()
+            assert _same(rhs, completed_lambda(Ld, d - s, 1e-12, ctx)), (L.gram, s)
+
+
+def _side_calls(monkeypatch, L, s, ctx):
+    """upper_G calls of each gamma-term sum of Lambda(L, s), memo-free."""
+    calls = _count_upper_G(monkeypatch, ctx)
+    out = []
+    for M, a, _, eps_side in _lambda_sides(L, complex(s), 1e-12):
+        _gamma_term_sum_at.cache_clear()
+        _gamma_term_sum(M, a, eps_side, ctx, ENUM_CAP)
+        out.append(len(calls))
+        calls.clear()
+    return out
+
+
+def test_lambda_pair_sums_each_side_once(monkeypatch):
+    ctx = Ctx(128)
+    L = CHECK03[1]
+    s = 1.25 + 0.5j  # 2 - (2 - s) == s: the pair's a's match
+    n_L, n_Ld = _side_calls(monkeypatch, L, s, ctx)
+    calls = _count_upper_G(monkeypatch, ctx)
+    _gamma_term_sum_at.cache_clear()
+    completed_lambda(L, s, 1e-12, ctx)
+    assert len(calls) == n_L + n_Ld > 0
+    completed_lambda(dual(L), 2 - s, 1e-12, ctx)
+    assert len(calls) == n_L + n_Ld
+
+    # 1 - (1 - 0.1) != 0.1, so the pair's second L side is a different a
+    L = CHECK03[0]
+    s = 0.1 + 0.5j
+    assert 1 - (1 - s) != s
+    n_L, n_Ld = _side_calls(monkeypatch, L, s, ctx)
+    n_L2 = _side_calls(monkeypatch, dual(L), 1 - s, ctx)[1]
+    calls = _count_upper_G(monkeypatch, ctx)
+    _gamma_term_sum_at.cache_clear()
+    completed_lambda(L, s, 1e-12, ctx)
+    completed_lambda(dual(L), 1 - s, 1e-12, ctx)
+    assert len(calls) == n_L + n_Ld + n_L2  # L summed twice, its dual once
+
+
+def test_lambda_memo_keys_a_by_its_bits(monkeypatch):
+    ctx = Ctx(128)
+    calls = _count_upper_G(monkeypatch, ctx)
+    _gamma_term_sum_at.cache_clear()
+    _gamma_term_sum(Z2, 0.65 + 0j, 1e-12, ctx, ENUM_CAP)
+    n = len(calls)
+    for a in (complex(0.65, -0.0), 0.65 + 0j):
+        _gamma_term_sum(Z2, a, 1e-12, ctx, ENUM_CAP)
+    info = _gamma_term_sum_at.cache_info()
+    assert (info.hits, info.misses, len(calls)) == (1, 2, 2 * n)
+
+
+def test_lambda_memo_keeps_the_cap():
+    s = 1.25 + 0.5j
+    _gamma_term_sum_at.cache_clear()
+    completed_lambda(Z2, s)
+    with pytest.raises(CapacityError):
+        completed_lambda(Z2, s, cap=5)
+    completed_lambda(Z2, s)
+    with pytest.raises(CapacityError):
+        completed_lambda(dual(Z2), 2 - s, cap=5)
+
+
+def test_lambda_memo_holds_two_sums(monkeypatch):
+    """A Lambda on another lattice between the two halves of a pair
+    leaves nothing of the first to reuse; the memo never grows past two."""
+    ctx = Ctx(128)
+    L, M = CHECK03[1], DET14
+    s = 1.25 + 0.5j
+    n_Ld, n_L = _side_calls(monkeypatch, dual(L), 2 - s, ctx)
+    calls = _count_upper_G(monkeypatch, ctx)
+    _gamma_term_sum_at.cache_clear()
+    assert _gamma_term_sum_at.cache_info().maxsize == 2
+    for K, u in ((L, s), (M, 0.5 + 1j), (dual(L), 2 - s)):
+        calls.clear()
+        completed_lambda(K, u, 1e-12, ctx)
+        assert _gamma_term_sum_at.cache_info().currsize == 2
+    assert len(calls) == n_Ld + n_L
 
 
 # -- zeta --------------------------------------------------------------
