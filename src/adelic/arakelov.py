@@ -15,9 +15,12 @@ classes, each just h^2 and its multiplicity, counted without listing the
 points: 4*phi(N) points of height N >= 2 under the max metric (a totient
 sieve), one gcd per pair a, b >= 1 under the euclidean metric; they are
 listed only for the per-point rows and a point filter.  The restriction
-(formed from h^2, not kept), the integrand, the covolume power, the
-term and its error bound are formed once per class, and the term is
-repeated by the class multiplicity.  Terms are summed in a
+(its diagonal entries, formed from h^2 and not kept), the integrand,
+the covolume power, the term and its error bound are formed once per
+class, and the term is repeated by the class multiplicity.  A class's
+theta comes from those diagonal entries and its covolume power from
+h^(-2 (m_1 + ... + m_d)); an exact lattice is built only for the zeta
+integrand, whose Lambda balls are enumerated.  Terms are summed in a
 deterministic order (base height, then canonical coordinates) with
 exactly rounded accumulation.  The points of one class are contiguous
 in that order and all carry the identical floating term, so the
@@ -33,6 +36,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, groupby, repeat
 from math import gcd, isqrt
 from typing import Callable, Optional
@@ -48,8 +52,9 @@ from .lattice import (
     _lambda_radius,
     _lambda_sides,
     _roundoff_allowance,
+    _theta_diagonal,
     lattice_zeta,
-    theta,
+    theta,  # unused here; bound so that tracing can wrap arakelov's theta evaluations by name
 )
 from .numeric import Ctx, DEFAULT_CTX
 
@@ -149,8 +154,10 @@ class ProbeRow:
 @dataclass(frozen=True, slots=True)
 class _HeightClass:
     """The base points sharing one exact height squared h^2, with the
-    term they all contribute; the restriction is formed from h^2 and not
-    kept (its det is h^(-2 (m_1 + ... + m_d)))."""
+    term they all contribute.  The restriction is formed from h^2 as its
+    diagonal entries h^(-2 m_i) and not kept: the theta integrand reads
+    them directly, the covolume power is h^(-2 (m_1 + ... + m_d)) to the
+    s/2, and only the zeta integrand builds a lattice from them."""
 
     height_sq: int
     count: int  # multiplicity: the number of base points in the class
@@ -229,26 +236,6 @@ def base_points_by_height(cutoff, arch=ArchKind.MAX, point_filter=None) -> list[
     return pts
 
 
-def _phi_factory(spec: ArakelovSeriesSpec, per_eps: float, ctx: Ctx, cap: int):
-    # one evaluation per run of equal restrictions, remembering the last:
-    # classes arrive in ascending h^2 and share a restriction only when
-    # every bundle degree is 0, so a repeat follows its first occurrence
-    last: list = [None, None]
-
-    def phi(L: HermitianLattice) -> tuple:
-        if L != last[0]:
-            if spec.phi_kind is PhiKind.THETA:
-                sv = theta(L, 1, per_eps, ctx, cap)
-            elif spec.phi_kind is PhiKind.ZETA:
-                sv = lattice_zeta(L, spec.rank * spec.s, per_eps, ctx, cap)
-            else:
-                sv = SeriesValue(ctx.one, 0.0, 1, True)
-            last[:] = L, (sv.value, sv.error_bound)
-        return last[1]
-
-    return phi
-
-
 def _height_classes(
     spec: ArakelovSeriesSpec, eps: float, ctx: Ctx, cap: int, with_points: bool = False
 ) -> list[_HeightClass]:
@@ -258,8 +245,10 @@ def _height_classes(
     The classes are counted without listing their points, unless
     ``with_points`` asks for the per-point rows or the spec's point
     filter has to see every point; then each class also carries its
-    canonical pairs.  The restriction is formed from h^2 alone and
-    dropped once the class term is formed.  Each theta or zeta factor is
+    canonical pairs.  The restriction is formed from h^2 alone, as its
+    diagonal entries, and dropped once the class term is formed; a
+    lattice is built from it for the zeta integrand only.  A class term
+    or bound past the double range is refused.  Each theta or zeta factor is
     evaluated to eps divided by the number of points, so the total
     reported error bound stays below eps plus the roundoff allowance.
     With the zeta integrand every distinct restriction's two Lambda
@@ -284,32 +273,68 @@ def _height_classes(
     else:
         counts, points = _class_counts(spec.cutoff, spec.arch), repeat(None)
     per_eps = eps / max(1, sum(n for _, n in counts))
+    degrees = spec.bundle_degrees
 
-    def restriction(h2: int) -> HermitianLattice:
-        return HermitianLattice.diagonal([Fraction(h2) ** -m for m in spec.bundle_degrees])
+    def restriction(h2: int) -> tuple:
+        return tuple(Fraction(h2) ** -m for m in degrees)
 
     if spec.phi_kind is PhiKind.ZETA:
         # phi evaluates a run of equal restrictions once, so it is counted once
-        for L, _ in groupby(restriction(h2) for h2, _ in counts):
-            for M, a, _, eps_side in _lambda_sides(L, spec.rank * spec.s, per_eps):
+        for entries, _ in groupby(restriction(h2) for h2, _ in counts):
+            for M, a, _, eps_side in _lambda_sides(HermitianLattice.diagonal(entries), spec.rank * spec.s, per_eps):
                 _ball_rows(M, _lambda_radius(M, a, eps_side), cap)
-    phi = _phi_factory(spec, per_eps, ctx, cap)
+
+    # classes arrive in ascending h^2 and share a restriction only when
+    # every bundle degree is 0, so a repeat follows its first occurrence
+    @lru_cache(maxsize=1)
+    def phi(entries: tuple) -> tuple:
+        if spec.phi_kind is PhiKind.THETA:
+            sv = _theta_diagonal(entries, Fraction(1), per_eps, ctx)
+        elif spec.phi_kind is PhiKind.ZETA:
+            sv = lattice_zeta(HermitianLattice.diagonal(entries), spec.rank * spec.s, per_eps, ctx, cap)
+        else:
+            sv = SeriesValue(ctx.one, 0.0, 1, True)
+        return sv.value, sv.error_bound
+
     half_s = spec.s / 2
     out = []
     for (h2, n), pts in zip(counts, points):
-        L = restriction(h2)
-        val, err = phi(L)
-        w = ctx.rational_power(L.det, half_s)
-        term = val * w
-        term_err = err * float(abs(w)) + _roundoff_allowance(float(abs(term)), ctx.bits)
+        val, err = phi(restriction(h2))
+        try:
+            # the restriction's det, h^(-2 (m_1 + ... + m_d)), as a reduced Fraction
+            w = ctx.rational_power(Fraction(h2) ** -sum(degrees), half_s)
+            term = val * w
+            term_err = err * float(abs(w)) + _roundoff_allowance(float(abs(term)), ctx.bits)
+        except OverflowError:
+            term_err = math.inf
+        # the bound is at least |term| 2^(14 - bits): finite only with the term
+        if not math.isfinite(term_err):
+            raise _overflow(spec, f"at base height squared {brief(h2)}")
         out.append(_HeightClass(h2, n, pts, val, err, term, term_err))
     return out
 
 
+def _finite(z) -> bool:
+    """Whether a real or complex value of either engine is a finite double."""
+    try:
+        return math.isfinite(abs(complex(z)))
+    except OverflowError:
+        return False
+
+
+def _overflow(spec: ArakelovSeriesSpec, where: str) -> ValidationError:
+    return ValidationError(f"covol^s * phi at s = {spec.s!r} overflows a float {where}")
+
+
 def _series_value(spec: ArakelovSeriesSpec, classes: list[_HeightClass], ctx: Ctx) -> SeriesValue:
     # each class term repeated by its multiplicity: the per-point term sequence
-    value = ctx.fsum_mixed(chain.from_iterable(repeat(c.term, c.count) for c in classes))
-    err = math.fsum(chain.from_iterable(repeat(c.term_error, c.count) for c in classes))
+    try:
+        value = ctx.fsum_mixed(chain.from_iterable(repeat(c.term, c.count) for c in classes))
+        err = math.fsum(chain.from_iterable(repeat(c.term_error, c.count) for c in classes))
+    except OverflowError:
+        err = math.inf
+    if not math.isfinite(err):
+        raise _overflow(spec, f"in the sum to cutoff {spec.cutoff}")
     # zeta factors lean on incomplete gamma truncation heuristics; theta
     # and bare covolume factors carry proved tail bounds
     rigorous = spec.phi_kind is not PhiKind.ZETA
@@ -460,8 +485,15 @@ def convergence_abscissa_probe(
     out = []
     for s0 in s_grid:
         s_c = complex(s0)
-        terms = [c.count * c.phi_value * ctx.rational_power(Fraction(1, c.height_sq), s_c / 2) for c in classes]
-        partials = tuple(ctx.fsum_mixed([t for c, t in zip(classes, terms) if c.height_sq <= top * top]) for top in tops)
+        try:
+            terms = [c.count * c.phi_value * ctx.rational_power(Fraction(1, c.height_sq), s_c / 2) for c in classes]
+            if not all(map(_finite, terms)):
+                raise OverflowError
+            partials = tuple(ctx.fsum_mixed([t for c, t in zip(classes, terms) if c.height_sq <= top * top]) for top in tops)
+            if not all(map(_finite, partials)):
+                raise OverflowError
+        except OverflowError:
+            raise _overflow(replace(spec, s=s_c), f"in the sum to cutoff {tops[-1]}") from None
         inc1 = float(abs(partials[1] - partials[0]))
         inc2 = float(abs(partials[2] - partials[1]))
         if inc1 == 0.0:

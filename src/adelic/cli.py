@@ -391,7 +391,13 @@ def _cmd_lattice(args, ctx: Ctx):
 
 
 def _cmd_arakelov(args, ctx: Ctx):
-    from .arakelov import ArakelovSeriesSpec, arakelov_series_and_rows, grouped_series_coefficients, theta_duality_defect
+    from .arakelov import (
+        ArakelovSeriesSpec,
+        PhiKind,
+        arakelov_series_and_rows,
+        grouped_series_coefficients,
+        theta_duality_defect,
+    )
     from .heights import ArchKind
 
     degrees = tuple(_parse_int_list(args.degrees, "--degrees"))
@@ -409,6 +415,8 @@ def _cmd_arakelov(args, ctx: Ctx):
         payload = {"degrees": list(degrees), "s": _json_number(s), "cutoff": spec.cutoff, "duality_defect": float(defect)}
         return lines, payload
     if args.grouped is not None:
+        if spec.phi_kind is not PhiKind.THETA:
+            raise ValidationError(f"--grouped tabulates the theta series, not --phi {spec.phi_kind.value}")
         rows = grouped_series_coefficients(args.grouped, degrees, spec.arch, s, args.eps, ctx)
         lines = ["N,count,reference_coefficient,theta_value,term"]
         for r in rows:
@@ -877,8 +885,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--s", default="0", help="series exponent (rational or complex)")
     p.add_argument("--cutoff", type=int, default=10, help="base height cutoff (default 10)")
     p.add_argument("--phi", choices=("theta", "zeta", "norm"), default="theta")
-    p.add_argument("--duality", action="store_true", help="print |series(s) - mirror series(1-s)|")
-    p.add_argument("--grouped", type=int, default=None, metavar="N", help="per height coefficient table up to N")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--duality", action="store_true", help="print |series(s) - mirror series(1-s)|")
+    mode.add_argument(
+        "--grouped", type=int, default=None, metavar="N",
+        help="per height table up to N of the theta series under the max metric (--phi theta only)",
+    )
     p.set_defaults(func=_cmd_arakelov)
 
     p = sub.add_parser("count", help="count rational points of bounded height on P^n")

@@ -390,13 +390,51 @@ def _theta_1d(c2: Fraction, t: Fraction, eps: float, ctx: Ctx) -> tuple[object, 
     return value, tail(K), K
 
 
+def _check_theta_eps(eps: float) -> None:
+    if not 0 < eps < math.inf:
+        raise ValidationError("eps must be positive and finite")
+    if eps < 1e-250:
+        raise ValidationError("eps below 1e-250 is not supported")
+
+
+def _theta_diagonal(entries, t: Fraction, eps: float, ctx: Ctx) -> SeriesValue:
+    """theta at t > 0 of the lattice with diagonal Gram diag(entries),
+    exact positive Fractions, as the product of its rank-one series (the
+    same series as over the ball, summed over a box instead), with a
+    rigorous bound."""
+    _check_theta_eps(eps)
+    d = len(entries)
+    axis_eps = eps / (4.0 * d)
+    while True:
+        vals, tails, terms = [], [], 0
+        for c2 in entries:
+            v, tl, k = _theta_1d(c2, t, axis_eps, ctx)
+            vals.append(v)
+            tails.append(tl)
+            terms += 2 * k + 1
+        # the bound's product is formed in the context's precision:
+        # at 128 bits a difference of two doubles is rounding noise
+        prod = prod_up = ctx.one
+        for v, tl in zip(vals, tails):
+            prod = prod * v
+            prod_up = prod_up * (v + tl)
+        tail_total = float(prod_up - prod)
+        if tail_total < eps or axis_eps < 1e-280:
+            value = prod
+            err = tail_total + _roundoff_allowance(float(value), ctx.bits)
+            return SeriesValue(value, err, terms, True)
+        axis_eps /= 4.0
+
+
 def theta(L: HermitianLattice, t, eps: float = 1e-12, ctx: Ctx = DEFAULT_CTX, cap: int = ENUM_CAP) -> SeriesValue:
     """theta(L, t) = sum over e in L of exp(-pi t |e|^2), rigorous bound.
 
     The truncation radius starts at R^2 = max(d/(2 pi t), 1) and R doubles
-    until the tail bound drops below eps.  Diagonal Gram matrices use the
-    exact factorisation into rank-one series (the same series, summed over
-    a box instead of a ball); dense ones enumerate the ball.
+    until the tail bound drops below eps.  A diagonal Gram matrix goes to
+    ``_theta_diagonal``, which reads only its diagonal entries; dense ones
+    enumerate the ball.  The Arakelov height classes call
+    ``_theta_diagonal`` on their restriction's entries directly, with no
+    lattice, so this is the one diagonal theta routine of both.
     """
     tq = as_fraction(t)
     if tq <= 0:
@@ -407,34 +445,10 @@ def theta(L: HermitianLattice, t, eps: float = 1e-12, ctx: Ctx = DEFAULT_CTX, ca
         tf = math.inf
     if not 0 < tf < math.inf:
         raise ValidationError("theta needs t inside the double range")
-    if not 0 < eps < math.inf:
-        raise ValidationError("eps must be positive and finite")
-    if eps < 1e-250:
-        raise ValidationError("eps below 1e-250 is not supported")
-    d = L.rank
-
     if is_diagonal(L.gram):
-        axis_eps = eps / (4.0 * d)
-        while True:
-            vals, tails, terms = [], [], 0
-            for i in range(d):
-                v, tl, k = _theta_1d(L.gram[i][i], tq, axis_eps, ctx)
-                vals.append(v)
-                tails.append(tl)
-                terms += 2 * k + 1
-            # the bound's product is formed in the context's precision:
-            # at 128 bits a difference of two doubles is rounding noise
-            prod = prod_up = ctx.one
-            for v, tl in zip(vals, tails):
-                prod = prod * v
-                prod_up = prod_up * (v + tl)
-            tail_total = float(prod_up - prod)
-            if tail_total < eps or axis_eps < 1e-280:
-                value = prod
-                err = tail_total + _roundoff_allowance(float(value), ctx.bits)
-                return SeriesValue(value, err, terms, True)
-            axis_eps /= 4.0
-
+        return _theta_diagonal([row[i] for i, row in enumerate(L.gram)], tq, eps, ctx)
+    _check_theta_eps(eps)
+    d = L.rank
     lam = float(_lambda_min_lower(L))
     R2 = max(d / (2.0 * math.pi * tf), 1.0)
     while _theta_tail_bound(d, tf, R2, lam) >= eps:
@@ -536,6 +550,15 @@ def _lambda_sides(L: HermitianLattice, s: complex, eps: float) -> tuple:
     return tuple((M, a, w, eps / (2.0 * max(w, 1.0))) for M, a, w in sides)
 
 
+def _check_finite(err: float, what: str, s: complex) -> None:
+    """Refuse a value whose error bound is not a finite double: the bound
+    is at least |value| 2^(14 - bits), so this covers a value past the
+    double range as well as an overflow on the way to it (OverflowError,
+    passed as an infinite bound)."""
+    if not math.isfinite(err):
+        raise ValidationError(f"{what} at s = {s!r} overflows a float")
+
+
 def _sqrt_covolume(L: HermitianLattice, ctx: Ctx):
     """sqrt(vol(L)) = det(G)^(1/4) in the context's real type."""
     return ctx.power(ctx.real(L.det), ctx.real(Fraction(1, 4)))
@@ -559,12 +582,16 @@ def completed_lambda(L: HermitianLattice, s, eps: float = 1e-12, ctx: Ctx = DEFA
     s = complex(s)
     d = L.rank
     (_, a1, w1, eps1), (Ld, a2, w2, eps2) = _lambda_sides(L, s, eps)
-    sum1, n1 = _gamma_term_sum(L, a1, eps1, ctx, cap)
-    sum2, n2 = _gamma_term_sum(Ld, a2, eps2, ctx, cap)
-    sv = _sqrt_covolume(L, ctx)
-    sc = ctx.to_complex(s)
-    value = -2 * sv / sc + 2 / (sv * (sc - d)) + sv * sum1 + (1 / sv) * sum2
-    err = w1 * eps1 + w2 * eps2 + _roundoff_allowance(abs(complex(value)), ctx.bits)
+    try:
+        sum1, n1 = _gamma_term_sum(L, a1, eps1, ctx, cap)
+        sum2, n2 = _gamma_term_sum(Ld, a2, eps2, ctx, cap)
+        sv = _sqrt_covolume(L, ctx)
+        sc = ctx.to_complex(s)
+        value = -2 * sv / sc + 2 / (sv * (sc - d)) + sv * sum1 + (1 / sv) * sum2
+        err = w1 * eps1 + w2 * eps2 + _roundoff_allowance(abs(complex(value)), ctx.bits)
+    except OverflowError:
+        err = math.inf
+    _check_finite(err, "Lambda", s)
     return SeriesValue(value, err, n1 + n2, False)
 
 
@@ -580,9 +607,13 @@ def lattice_zeta(L: HermitianLattice, s, eps: float = 1e-12, ctx: Ctx = DEFAULT_
     if s.imag == 0 and s.real < 0 and s.real % 2 == 0:  # 1/Gamma(s/2) = 0
         return SeriesValue(ctx.to_complex(0), _roundoff_allowance(0.0, ctx.bits), lam.terms_used, False)
     half_s = ctx.to_complex(s) / 2
-    factor = ctx.pi_power(half_s) / (_sqrt_covolume(L, ctx) * ctx.gamma(half_s))
-    value = lam.value * factor
-    err = lam.error_bound * abs(complex(factor)) + _roundoff_allowance(abs(complex(value)), ctx.bits)
+    try:
+        factor = ctx.pi_power(half_s) / (_sqrt_covolume(L, ctx) * ctx.gamma(half_s))
+        value = lam.value * factor
+        err = lam.error_bound * abs(complex(factor)) + _roundoff_allowance(abs(complex(value)), ctx.bits)
+    except OverflowError:
+        err = math.inf
+    _check_finite(err, "zeta", s)
     return SeriesValue(value, err, lam.terms_used, False)
 
 

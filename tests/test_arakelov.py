@@ -10,7 +10,7 @@ from adelic.arakelov import (
     PhiKind,
     _canonical_pairs,
     _class_counts,
-    _phi_factory,
+    _height_classes,
     arakelov_L_partial,
     arakelov_series_and_rows,
     arakelov_term_rows,
@@ -350,6 +350,64 @@ def test_height_classes_keep_no_restriction():
     assert peak < 1.2 * 2**20
 
 
+@pytest.mark.parametrize("degrees", [(1,), (-1, 2), (0, 0), (1, 1)])
+def test_height_classes_build_lattices_for_zeta_only(degrees, monkeypatch):
+    # theta reads a class's diagonal entries and the covolume power its
+    # h^2, so the theta and norm integrands construct no lattice at all
+    built = []
+    init = HermitianLattice.__init__
+
+    def counting_init(self, gram):
+        built.append(gram)
+        init(self, gram)
+
+    monkeypatch.setattr(HermitianLattice, "__init__", counting_init)
+    for kind in (PhiKind.THETA, PhiKind.NORM):
+        for arch in (ArchKind.MAX, ArchKind.L2):
+            spec = ArakelovSeriesSpec(degrees, arch, 2.5, 6, kind)
+            assert len(_height_classes(spec, 1e-9, DEFAULT_CTX, ENUM_CAP, with_points=True)) > 4
+    assert len(grouped_series_coefficients(6, degrees, s=2.5)) == 6
+    assert built == []
+    # the zeta integrand builds each distinct restriction twice: once to
+    # count its Lambda balls, once to evaluate it
+    diagonals = []
+    diagonal = HermitianLattice.diagonal.__func__
+
+    def counting_diagonal(cls, entries):
+        diagonals.append(tuple(entries))
+        return diagonal(cls, entries)
+
+    monkeypatch.setattr(HermitianLattice, "diagonal", classmethod(counting_diagonal))
+    spec = ArakelovSeriesSpec(degrees, ArchKind.L2, 3.5, 4, PhiKind.ZETA)
+    classes = _height_classes(spec, 1e-9, DEFAULT_CTX, ENUM_CAP)
+    restrictions = {tuple(Fraction(c.height_sq) ** -m for m in degrees) for c in classes}
+    assert Counter(diagonals) == {r: 2 for r in restrictions}
+    assert built
+
+
+@pytest.mark.parametrize(
+    "build, where",
+    [
+        # one class term at a time: tests/test_cli.py::test_value_past_double_range_refused;
+        # here every term fits a double and their sum does not
+        (lambda: arakelov_L_partial(ArakelovSeriesSpec((-1,), s=208.4, cutoff=30)), "in the sum to cutoff 30"),
+        (
+            lambda: convergence_abscissa_probe(ArakelovSeriesSpec((1,), cutoff=5), [4.0, -1000]),
+            "in the sum to cutoff 20",
+        ),
+        (
+            lambda: convergence_abscissa_probe(ArakelovSeriesSpec((1,), cutoff=5), [-400 + 3j], ctx=Ctx(128)),
+            "in the sum to cutoff 20",
+        ),
+    ],
+)
+def test_overflowing_sums_refused(build, where):
+    # these raised OverflowError at 64 bits; the 128-bit probe read a nan
+    # growth exponent off partial sums past the double range
+    with pytest.raises(ValidationError, match=f"overflows a float {where}$"):
+        build()
+
+
 def test_probe_lists_no_points():
     tracemalloc.start()
     try:
@@ -380,10 +438,17 @@ def _listed_height_classes(spec, eps, ctx, cap):
         for L in dict.fromkeys(lattices):
             for M, a, _, eps_side in _lambda_sides(L, spec.rank * spec.s, per_eps):
                 _ball_rows(M, _lambda_radius(M, a, eps_side), cap)
-    phi = _phi_factory(spec, per_eps, ctx, cap)
     out = []
     for (h2, pts), L in zip(members, lattices):
-        val, err = phi(L)
+        # the lattice-based integrands, as in _oracle_rows
+        if spec.phi_kind is PhiKind.THETA:
+            sv = theta(L, 1, per_eps, ctx, cap)
+            val, err = sv.value, sv.error_bound
+        elif spec.phi_kind is PhiKind.ZETA:
+            sv = lattice_zeta(L, spec.rank * spec.s, per_eps, ctx, cap)
+            val, err = sv.value, sv.error_bound
+        else:
+            val, err = ctx.one, 0.0
         w = ctx.rational_power(L.det, spec.s / 2)
         term = val * w
         out.append((h2, pts, term, err * float(abs(w)) + _roundoff_allowance(float(abs(term)), ctx.bits)))
@@ -472,6 +537,12 @@ def _oracle_sum(rows, ctx):
 
 def _oracle_specs():
     for arch in (ArchKind.MAX, ArchKind.L2):
+        # equal restrictions in a row (every degree 0) and equal entries
+        for degrees in ((0,), (0, 0), (1, 1)):
+            for ctx in (DEFAULT_CTX, Ctx(128)):
+                yield ArakelovSeriesSpec(degrees, arch, 2.5, 4, PhiKind.THETA), ctx
+                yield ArakelovSeriesSpec(degrees, arch, 3 + 1j, 5, PhiKind.NORM), ctx
+            yield ArakelovSeriesSpec(degrees, arch, 3 + 1j, 3, PhiKind.ZETA), DEFAULT_CTX
         for degrees in ((1,), (1, 2), (-1,), (2, -1, 3)):
             for s in (0, 2.5, 3 + 1j):
                 yield ArakelovSeriesSpec(degrees, arch, s, 5, PhiKind.THETA), DEFAULT_CTX

@@ -330,6 +330,51 @@ def test_det_outside_double_range_refused(argv, message, monkeypatch):
     assert (rc, out, err) == (2, "", f"error: validation: {message} needs det(G) inside the double range\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["arakelov", "--degrees", "-1", "--s", "1000", "--cutoff", "3"], "covol^s * phi at s = (1000+0j)"),
+        (["arakelov", "--degrees", "-1", "--s", "1000+1j"], "covol^s * phi at s = (1000+1j)"),
+        (["arakelov", "--grouped", "5", "--s", "-1000"], "covol^s * phi at s = (-1000+0j)"),
+        (
+            ["--precision-bits", "128", "arakelov", "--degrees", "-1", "--s", "1e30", "--cutoff", "3"],
+            "covol^s * phi at s = (1e+30+0j)",
+        ),
+        (["lattice", "zeta", "--gram", "I1", "--s", "300"], "Lambda at s = (300+0j)"),
+        (["lattice", "zeta", "--gram", "I1", "--s", "-400"], "Lambda at s = (-400+0j)"),
+        (["lattice", "lambda", "--gram", "I1", "--s", "1500"], "Lambda at s = (1500+0j)"),
+        (["--precision-bits", "128", "lattice", "lambda", "--gram", "I1", "--s", "1500"], "Lambda at s = (1500+0j)"),
+    ],
+)
+def test_value_past_double_range_refused(argv, message):
+    # the 64-bit requests exited 1 with an OverflowError traceback; the
+    # 128-bit ones printed a value with the bound "± inf" and exit 0
+    rc, out, err = run(argv)
+    assert rc == 2 and out == "", argv
+    assert err.startswith(f"error: validation: {message} overflows a float") and err.count("\n") == 1, err
+
+
+def test_high_precision_zeta_inside_double_range():
+    # Gamma(200) lies past the double range, but zeta_Z(400) = 2 + ... does not
+    rc, out, err = run(["--precision-bits", "128", "lattice", "zeta", "--gram", "I1", "--s", "400"])
+    assert rc == 0 and err == ""
+    assert out.startswith("1.99999999999999999999999999999999999999")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["arakelov", "--grouped", "5", "--phi", "zeta"], "--grouped tabulates the theta series, not --phi zeta"),
+        (["arakelov", "--grouped", "5", "--phi", "norm"], "--grouped tabulates the theta series, not --phi norm"),
+        (["arakelov", "--grouped", "5", "--duality"], "argument --duality: not allowed with argument --grouped"),
+        (["arakelov", "--duality", "--grouped", "5"], "argument --grouped: not allowed with argument --duality"),
+    ],
+)
+def test_arakelov_grouped_refuses_ignored_flags(argv, message):
+    # these printed the theta table, or only the duality defect, with exit 0
+    assert run(argv) == (2, "", f"error: validation: {message}\n")
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "0"])
 def test_quad_eps_must_be_positive_and_finite(value):
     # an infinite budget used to print "total": Infinity, which is not JSON
